@@ -10,6 +10,10 @@
 //     footer-declared range, and a second read returns the same rows.
 //  3. Scans with a row filter / projection over accepted files never
 //     return rows a full read would not (the filter can only shrink).
+//  4. The aggregate fold agrees with the row path: FoldChunk's count and
+//     per-key group counts equal grouping the rows ReadChunk builds for
+//     the same filter under the planner's meta-only projection, and a
+//     chunk either path rejects, the other rejects too.
 #include <unistd.h>
 
 #include <cstdint>
@@ -17,11 +21,56 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/patch.h"
 #include "storage/columnar/columnar_file.h"
 #include "storage/columnar/format.h"
+
+namespace {
+
+using deeplens::MetaValue;
+using deeplens::columnar::ColumnarReader;
+using deeplens::columnar::ColumnPredicate;
+
+// Exact value identity (type tag + payload bytes).
+std::string Identity(const MetaValue& v) {
+  deeplens::ByteBuffer buf;
+  v.SerializeInto(&buf);
+  return buf.AsSlice().ToString();
+}
+
+void CheckFoldParity(const ColumnarReader& reader, size_t chunk,
+                     const std::vector<ColumnPredicate>& preds,
+                     const std::string* key) {
+  deeplens::columnar::ChunkReadOptions options;
+  options.projection.pixels = false;
+  options.projection.features = false;
+  options.projection.all_meta = false;
+  for (const ColumnPredicate& p : preds) {
+    options.projection.meta_keys.push_back(p.key);
+  }
+  if (key != nullptr) options.projection.meta_keys.push_back(*key);
+  options.row_filter = preds;
+  auto rows = reader.ReadChunk(chunk, options);
+  auto fold = reader.FoldChunk(chunk, preds, key);
+  if (rows.ok() != fold.ok()) std::abort();
+  if (!rows.ok()) return;
+  if (fold->rows != rows->size()) std::abort();
+  std::map<std::string, uint64_t> from_rows;
+  std::map<std::string, uint64_t> from_fold;
+  for (const deeplens::Patch& p : *rows) {
+    ++from_rows[Identity(key == nullptr ? MetaValue() : p.meta().Get(*key))];
+  }
+  for (const auto& group : fold->keys) {
+    from_fold[Identity(group.value)] += group.rows;
+  }
+  if (from_rows != from_fold) std::abort();
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using deeplens::Patch;
@@ -51,7 +100,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   uint64_t decoded_rows = 0;
   uint64_t last_id = 0;
   bool any = false;
+  const std::string label = "label";
+  const std::string score = "score";
+  const ColumnPredicate any_label{1, "label", MetaValue(std::string())};
+  const ColumnPredicate high_score{1, "score", MetaValue(0.5)};
+  const ColumnPredicate score_below_one{-2, "score", MetaValue(int64_t{1})};
   for (size_t c = 0; c < reader->num_chunks(); ++c) {
+    CheckFoldParity(*reader, c, {}, &label);
+    CheckFoldParity(*reader, c, {any_label}, &label);
+    CheckFoldParity(*reader, c, {high_score}, &score);
+    CheckFoldParity(*reader, c, {score_below_one, any_label}, nullptr);
+
     auto rows = reader->ReadChunk(c, deeplens::columnar::ChunkReadOptions{});
     if (!rows.ok()) continue;  // CRC/decode corruption is acceptable
     const auto& meta = reader->chunk(c);

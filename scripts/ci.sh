@@ -10,8 +10,8 @@
 #   fuzz      — short-budget run of the fuzz battery (fuzz/), each target
 #               seeded from deeplens_make_corpus output
 #   tsan      — ThreadSanitizer build of the `parallel`-labeled suites
-#   asan      — AddressSanitizer+UBSan build of the `parallel`- and
-#               `persistence`-labeled suites
+#   asan      — AddressSanitizer+UBSan build of the `parallel`-,
+#               `persistence`- and `kernels`-labeled suites
 #   docs      — docs/KNOBS.md consistency: every DEEPLENS_* env knob
 #               referenced by src/ or bench/ (and ci.sh's own control
 #               vars) must appear in the knob reference table
@@ -122,8 +122,8 @@ stage_asan() {
   cmake --build "$dir" -j"$NPROC" \
     --target exec_parallel_test exec_batch_test cache_test persistence_test \
              storage_test serving_test columnar_test optimizer_test \
-             batch_former_test
-  (cd "$dir" && ctest --output-on-failure -L 'parallel|persistence')
+             batch_former_test common_test
+  (cd "$dir" && ctest --output-on-failure -L 'parallel|persistence|kernels')
 }
 
 stage_docs() {

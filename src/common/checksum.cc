@@ -1,5 +1,14 @@
 #include "common/checksum.h"
 
+#include <cstring>
+
+#if defined(__x86_64__)
+#define DEEPLENS_CRC_X86 1
+#include <nmmintrin.h>
+#else
+#define DEEPLENS_CRC_X86 0
+#endif
+
 namespace deeplens {
 
 namespace {
@@ -19,9 +28,42 @@ const Crc32cTable& Table() {
   static const Crc32cTable table;
   return table;
 }
+
+#if DEEPLENS_CRC_X86
+// SSE4.2 kernel: the crc32 instruction computes this same reflected
+// Castagnoli CRC, so folding eight bytes per instruction agrees with the
+// table loop bit for bit. Compiled with a per-function target attribute
+// so the rest of the binary keeps the baseline ISA; only entered after a
+// cpuid check.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const uint8_t* p,
+                                                       size_t n,
+                                                       uint32_t seed) {
+  uint64_t c = seed ^ 0xffffffffu;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    c = _mm_crc32_u64(c, word);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; n > 0; ++p, --n) c32 = _mm_crc32_u8(c32, *p);
+  return c32 ^ 0xffffffffu;
+}
+
+bool DetectSse42() { return __builtin_cpu_supports("sse4.2") != 0; }
+#endif  // DEEPLENS_CRC_X86
+
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+bool Crc32cHardwareAvailable() {
+#if DEEPLENS_CRC_X86
+  static const bool available = DetectSse42();
+  return available;
+#else
+  return false;
+#endif
+}
+
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   const Crc32cTable& tab = Table();
   uint32_t c = seed ^ 0xffffffffu;
@@ -29,6 +71,15 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
     c = tab.t[(c ^ p[i]) & 0xff] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
+}
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+#if DEEPLENS_CRC_X86
+  if (Crc32cHardwareAvailable()) {
+    return Crc32cSse42(static_cast<const uint8_t*>(data), n, seed);
+  }
+#endif
+  return Crc32cPortable(data, n, seed);
 }
 
 uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed) {

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -710,16 +711,11 @@ bool CollectIndexCandidates(const ViewCache& view, const ExprPtr& predicate,
 // (Patch&& argument). Sargable conjuncts are applied inside the reader
 // during decode (the same early-elimination the index paths perform);
 // when the pushdown does not cover the whole predicate the residual
-// compiled predicate re-runs over the materialized rows. A consumer that
-// never reads row content (`need_row_content == false`, e.g. COUNT) gets
-// a meta-only projection of the conjunct keys plus `extra_keys` — pixels
-// and features are then never decoded at all. Fills the runtime half of
-// `plan->columnar` from the loader's counters.
+// compiled predicate re-runs over the materialized rows. Fills the
+// runtime half of `plan->columnar` from the loader's counters.
 template <typename RowFn>
 Status DriveColumnarScan(const ViewCache& view, const ExprPtr& predicate,
-                         const std::vector<std::string>& extra_keys,
-                         bool need_row_content, PlanExplanation* plan,
-                         const RowFn& row_fn) {
+                         PlanExplanation* plan, const RowFn& row_fn) {
   const std::shared_ptr<columnar::ColumnarReader> reader = view.columnar;
   const columnar::PredicatePushdown down =
       columnar::ExtractPushdown(predicate);
@@ -727,15 +723,6 @@ Status DriveColumnarScan(const ViewCache& view, const ExprPtr& predicate,
 
   columnar::ChunkReadOptions options;
   options.row_filter = down.preds;
-  if (!need_row_content && down.fully_sargable) {
-    options.projection.pixels = false;
-    options.projection.features = false;
-    options.projection.all_meta = false;
-    options.projection.meta_keys = extra_keys;
-    for (const columnar::ColumnPredicate& p : down.preds) {
-      options.projection.meta_keys.push_back(p.key);
-    }
-  }
   // Null pred compiles to always-true, so the fully-sargable case pays no
   // per-row re-check above the reader.
   const CompiledPredicate residual(down.fully_sargable ? ExprPtr{}
@@ -767,6 +754,34 @@ Status DriveColumnarScan(const ViewCache& view, const ExprPtr& predicate,
   return Status::OK();
 }
 
+// The aggregate fold over a disk-backed view whose pushdown alone decides
+// membership: each zone-map-surviving chunk is filtered and counted per
+// value of `key` straight off its encoded columns
+// (ColumnarReader::FoldChunk), serially, with no Patch rows and no loader
+// queue. `fold_fn` gets (key value, rows) per group; a null `key` gives
+// one null group per chunk. Fills the runtime half of `plan->columnar`.
+template <typename FoldFn>
+Status FoldColumnarScan(const ViewCache& view, const ExprPtr& predicate,
+                        const std::string* key, PlanExplanation* plan,
+                        const FoldFn& fold_fn) {
+  const columnar::ColumnarReader& reader = *view.columnar;
+  const columnar::PredicatePushdown down =
+      columnar::ExtractPushdown(predicate);
+  ColumnarScanStats& stats = plan->columnar;
+  for (size_t index : reader.SelectChunks(down.preds)) {
+    DL_ASSIGN_OR_RETURN(columnar::ChunkFold chunk,
+                        reader.FoldChunk(index, down.preds, key));
+    ++stats.chunks_read;
+    stats.rows_decoded += chunk.rows;
+    stats.bytes_decoded += chunk.bytes_decoded;
+    for (const columnar::KeyCount& group : chunk.keys) {
+      fold_fn(group.value, group.rows);
+    }
+  }
+  plan->candidates = stats.rows_decoded;
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<PatchCollection> Planner::ExecuteScan(const ViewCache& view,
@@ -778,8 +793,8 @@ Result<PatchCollection> Planner::ExecuteScan(const ViewCache& view,
   if (local.path == AccessPath::kColumnarScan) {
     PatchCollection out;
     DL_RETURN_NOT_OK(DriveColumnarScan(
-        view, predicate, /*extra_keys=*/{}, /*need_row_content=*/true,
-        &local, [&](Patch&& p) { out.push_back(std::move(p)); }));
+        view, predicate, &local,
+        [&](Patch&& p) { out.push_back(std::move(p)); }));
     if (explanation != nullptr) *explanation = local;
     return out;
   }
@@ -814,29 +829,44 @@ Result<PatchCollection> Planner::ExecuteScan(const ViewCache& view,
 namespace {
 
 // Shared skeleton of the aggregate scans: index-backed plans fold the
-// surviving candidates into `state` and finalize; disk-backed views fold
-// the streamed chunk rows (meta-only projection of `projected_keys` when
-// `need_row_content` is false and the pushdown covers the predicate);
-// full scans delegate to a pre-merge parallel aggregate run over the
-// *executed* (reordered/cascaded) predicate, which full_scan receives as
-// its argument. `accumulate` is (State*, const Patch&), `finalize` is
-// State -> Result<Out>, `full_scan` is (const ExprPtr&) -> Result<Out>.
-template <typename State, typename AccumulateFn, typename FinalizeFn,
-          typename FullScanFn>
+// surviving candidates into `state` and finalize; disk-backed views whose
+// pushdown covers the predicate fold each chunk's per-key counts via
+// `fold` (no rows built), other disk-backed scans accumulate the streamed
+// chunk rows; full scans delegate to a pre-merge parallel aggregate run
+// over the *executed* (reordered/cascaded) predicate, which full_scan
+// receives as its argument. `accumulate` is (State*, const Patch&);
+// `fold` is (State*, const MetaValue& value of `fold_key`, uint64_t
+// rows), or nullptr for an aggregate that needs whole rows; `finalize`
+// is State -> Result<Out>, `full_scan` is (const ExprPtr&) -> Result<Out>.
+template <typename State, typename AccumulateFn, typename FoldFn,
+          typename FinalizeFn, typename FullScanFn>
 auto ExecuteAggregateScan(const ViewCache& view, const ExprPtr& predicate,
                           PlanExplanation* explanation,
-                          const std::vector<std::string>& projected_keys,
-                          bool need_row_content, State state,
-                          const AccumulateFn& accumulate,
+                          [[maybe_unused]] const std::string* fold_key,
+                          State state, const AccumulateFn& accumulate,
+                          [[maybe_unused]] const FoldFn& fold,
                           const FinalizeFn& finalize,
                           const FullScanFn& full_scan)
     -> decltype(full_scan(predicate)) {
   ScanPlan plan = Planner::PlanScanFull(view, predicate);
   PlanExplanation& local = plan.explanation;
   if (local.path == AccessPath::kColumnarScan) {
-    DL_RETURN_NOT_OK(DriveColumnarScan(
-        view, predicate, projected_keys, need_row_content, &local,
-        [&](Patch&& p) { accumulate(&state, p); }));
+    bool folded = false;
+    if constexpr (!std::is_null_pointer_v<FoldFn>) {
+      if (local.columnar.fully_sargable) {
+        DL_RETURN_NOT_OK(FoldColumnarScan(
+            view, predicate, fold_key, &local,
+            [&](const MetaValue& value, uint64_t rows) {
+              fold(&state, value, rows);
+            }));
+        folded = true;
+      }
+    }
+    if (!folded) {
+      DL_RETURN_NOT_OK(DriveColumnarScan(
+          view, predicate, &local,
+          [&](Patch&& p) { accumulate(&state, p); }));
+    }
     if (explanation != nullptr) *explanation = local;
     return finalize(std::move(state));
   }
@@ -866,9 +896,9 @@ Result<uint64_t> Planner::ExecuteScanCount(const ViewCache& view,
                                            const ExprPtr& predicate,
                                            PlanExplanation* explanation) {
   return ExecuteAggregateScan(
-      view, predicate, explanation, /*projected_keys=*/{},
-      /*need_row_content=*/false, uint64_t{0},
+      view, predicate, explanation, /*fold_key=*/nullptr, uint64_t{0},
       [](uint64_t* count, const Patch&) { ++*count; },
+      [](uint64_t* count, const MetaValue&, uint64_t rows) { *count += rows; },
       [](uint64_t count) -> Result<uint64_t> { return count; },
       [&](const ExprPtr& pred) { return ParallelCount(view.patches, pred); });
 }
@@ -877,11 +907,12 @@ Result<uint64_t> Planner::ExecuteScanCountDistinct(
     const ViewCache& view, const std::string& key, const ExprPtr& predicate,
     PlanExplanation* explanation) {
   return ExecuteAggregateScan(
-      view, predicate, explanation, /*projected_keys=*/{key},
-      /*need_row_content=*/false, std::unordered_set<std::string>{},
+      view, predicate, explanation, &key, std::unordered_set<std::string>{},
       [&](std::unordered_set<std::string>* seen, const Patch& p) {
         seen->insert(p.meta().Get(key).ToIndexKey());
       },
+      [](std::unordered_set<std::string>* seen, const MetaValue& value,
+         uint64_t) { seen->insert(value.ToIndexKey()); },
       [](std::unordered_set<std::string> seen) -> Result<uint64_t> {
         return static_cast<uint64_t>(seen.size());
       },
@@ -895,10 +926,12 @@ Result<std::map<std::string, uint64_t>> Planner::ExecuteScanGroupCount(
     PlanExplanation* explanation) {
   using Groups = std::map<std::string, uint64_t>;
   return ExecuteAggregateScan(
-      view, predicate, explanation, /*projected_keys=*/{key},
-      /*need_row_content=*/false, Groups{},
+      view, predicate, explanation, &key, Groups{},
       [&](Groups* groups, const Patch& p) {
         ++(*groups)[p.meta().Get(key).ToDisplayString()];
+      },
+      [](Groups* groups, const MetaValue& value, uint64_t rows) {
+        (*groups)[value.ToDisplayString()] += rows;
       },
       [](Groups groups) -> Result<Groups> { return groups; },
       [&](const ExprPtr& pred) {
@@ -912,8 +945,7 @@ Result<std::optional<Patch>> Planner::ExecuteScanMinBy(
   using Best = std::optional<Patch>;
   // MinBy returns the whole winning patch, so it needs full row content.
   return ExecuteAggregateScan(
-      view, predicate, explanation, /*projected_keys=*/{order_key},
-      /*need_row_content=*/true, Best{},
+      view, predicate, explanation, /*fold_key=*/nullptr, Best{},
       [&](Best* best, const Patch& p) {
         if (!best->has_value() ||
             p.meta().Get(order_key).Compare(
@@ -921,6 +953,7 @@ Result<std::optional<Patch>> Planner::ExecuteScanMinBy(
           *best = p;
         }
       },
+      /*fold=*/nullptr,
       [](Best best) -> Result<Best> { return best; },
       [&](const ExprPtr& pred) {
         return ParallelMinBy(view.patches, order_key, pred);

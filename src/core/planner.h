@@ -42,7 +42,9 @@ struct ColumnarScanStats {
   uint64_t chunks_pruned = 0;       // zone-map rejected: never read/decoded
   uint64_t chunks_read = 0;
   uint64_t rows_decoded = 0;        // surviving the pushed row filter
-  uint64_t bytes_decoded = 0;       // ApproxPatchBytes over decoded rows
+  uint64_t bytes_decoded = 0;       // ApproxPatchBytes over decoded rows;
+                                    // an aggregate fold charges the column
+                                    // buffers it decoded instead
   size_t sargable_conjuncts = 0;    // conjuncts pushed into the reader
   bool fully_sargable = false;      // row filter alone decides membership
   size_t prefetch_depth = 0;        // resolved DEEPLENS_PREFETCH_DEPTH
@@ -210,9 +212,12 @@ class Planner {
 
   // --- Aggregate scans (pre-merge pushdown) -----------------------------
   // The aggregate analogues of ExecuteScan: index-driven plans aggregate
-  // over the candidate rows directly, and full scans run the aggregation
-  // below the morsel driver's merge (exec/aggregates.h), so neither path
-  // materializes the surviving patches just to reduce them.
+  // over the candidate rows directly, full scans run the aggregation
+  // below the morsel driver's merge (exec/aggregates.h), and Count /
+  // CountDistinct / GroupCount over an attached view whose pushdown
+  // covers the predicate fold each chunk off its encoded columns
+  // (ColumnarReader::FoldChunk), so no path materializes the surviving
+  // patches just to reduce them.
 
   /// COUNT(*) of the rows matching `predicate`.
   static Result<uint64_t> ExecuteScanCount(const ViewCache& view,

@@ -18,9 +18,10 @@ AsyncChunkLoader::AsyncChunkLoader(
   if (depth_ > kMaxPrefetchDepth) depth_ = kMaxPrefetchDepth;
   byte_budget_ = prefetch_options.byte_budget;
   stats_.depth = depth_;
-  if (depth_ > 0 && !chunk_indexes_.empty()) {
-    worker_ = std::thread(&AsyncChunkLoader::WorkerLoop, this);
-  }
+  // A single chunk leaves nothing to overlap: load it on the consumer's
+  // thread instead of starting (and joining) a worker for it.
+  sync_ = depth_ == 0 || chunk_indexes_.size() <= 1;
+  if (!sync_) worker_ = std::thread(&AsyncChunkLoader::WorkerLoop, this);
 }
 
 AsyncChunkLoader::~AsyncChunkLoader() {
@@ -81,7 +82,7 @@ void AsyncChunkLoader::WorkerLoop() {
 }
 
 Result<std::optional<PatchCollection>> AsyncChunkLoader::Next() {
-  if (depth_ == 0) {  // synchronous mode: no worker, no queue
+  if (sync_) {  // no worker, no queue
     if (sync_pos_ >= chunk_indexes_.size()) return std::optional<PatchCollection>{};
     DL_ASSIGN_OR_RETURN(PatchCollection rows, LoadChunk(sync_pos_));
     ++sync_pos_;
@@ -92,7 +93,6 @@ Result<std::optional<PatchCollection>> AsyncChunkLoader::Next() {
     return std::optional<PatchCollection>(std::move(rows));
   }
   std::unique_lock<std::mutex> lock(mu_);
-  if (chunk_indexes_.empty()) return std::optional<PatchCollection>{};
   if (queue_.empty() && !done_) ++stats_.consumer_waits;
   produced_.wait(lock, [&] { return !queue_.empty() || done_; });
   if (queue_.empty()) {

@@ -27,7 +27,8 @@ namespace columnar {
 struct PrefetchOptions {
   /// Max decoded chunks queued ahead of the consumer; kUseEnv reads
   /// DEEPLENS_PREFETCH_DEPTH. 0 = no worker thread, Next() decodes
-  /// synchronously.
+  /// synchronously; a loader over at most one chunk is synchronous at any
+  /// depth.
   static constexpr size_t kUseEnv = static_cast<size_t>(-1);
   size_t depth = kUseEnv;
   /// Decoded-byte budget for the queue. The worker stalls before pushing
@@ -83,7 +84,9 @@ class AsyncChunkLoader {
   size_t depth_ = 0;
   size_t byte_budget_ = 0;
 
-  // Synchronous mode state (depth_ == 0).
+  // Synchronous mode (depth 0, or at most one chunk): Next() loads on the
+  // caller's thread and no worker runs.
+  bool sync_ = false;
   size_t sync_pos_ = 0;
 
   mutable std::mutex mu_;

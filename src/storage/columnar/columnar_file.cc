@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <map>
+#include <optional>
+#include <unordered_map>
 
 #include "codec/image_codec.h"
 #include "common/checksum.h"
@@ -10,6 +12,14 @@
 namespace deeplens {
 namespace columnar {
 namespace {
+
+constexpr uint8_t kTagInt = static_cast<uint8_t>(ValueType::kInt);
+constexpr uint8_t kTagFloat = static_cast<uint8_t>(ValueType::kFloat);
+constexpr uint8_t kTagString = static_cast<uint8_t>(ValueType::kString);
+constexpr uint8_t kTagBool = static_cast<uint8_t>(ValueType::kBool);
+
+// TypedColumn::rank of a row that lacks the column's key.
+constexpr uint32_t kAbsent = UINT32_MAX;
 
 inline uint32_t ZigZag32(int32_t v) {
   return (static_cast<uint32_t>(v) << 1) ^ static_cast<uint32_t>(v >> 31);
@@ -26,6 +36,11 @@ inline uint64_t DoubleBits(double v) {
 inline double BitsDouble(uint64_t bits) {
   double v;
   std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int b = 0; b < 8; ++b) v |= static_cast<uint64_t>(p[b]) << (8 * b);
   return v;
 }
 
@@ -66,32 +81,31 @@ void EncodeStringDict(const std::vector<const std::string*>& values,
   SvbEncodeU32Block(codes.data(), codes.size(), out);
 }
 
-Status DecodeStringDict(ByteReader* reader, size_t expected,
-                        std::vector<std::string>* out) {
+// Parses a block written by EncodeStringDict. The entries stay slices into
+// the chunk bytes; every code is checked against the dictionary size.
+Status ParseStringDict(ByteReader* reader, size_t expected,
+                       std::vector<Slice>* dict,
+                       std::vector<uint32_t>* codes) {
   uint64_t dict_n = 0;
   DL_ASSIGN_OR_RETURN(dict_n, reader->GetVarint());
   if (dict_n > reader->remaining()) {
     return Status::Corruption("columnar chunk: dictionary count overflows");
   }
-  std::vector<std::string> dict;
-  dict.reserve(static_cast<size_t>(dict_n));
+  dict->clear();
+  dict->reserve(static_cast<size_t>(dict_n));
   for (uint64_t i = 0; i < dict_n; ++i) {
     Slice s;
     DL_ASSIGN_OR_RETURN(s, reader->GetLengthPrefixed());
-    dict.push_back(s.ToString());
+    dict->push_back(s);
   }
-  std::vector<uint32_t> codes;
-  DL_RETURN_NOT_OK(SvbDecodeU32Block(reader, expected, &codes));
-  if (codes.size() != expected) {
+  DL_RETURN_NOT_OK(SvbDecodeU32Block(reader, expected, codes));
+  if (codes->size() != expected) {
     return Status::Corruption("columnar chunk: dictionary code count");
   }
-  out->clear();
-  out->reserve(expected);
-  for (uint32_t code : codes) {
-    if (code >= dict.size()) {
+  for (uint32_t code : *codes) {
+    if (code >= dict->size()) {
       return Status::Corruption("columnar chunk: dictionary code range");
     }
-    out->push_back(dict[code]);
   }
   return Status::OK();
 }
@@ -155,59 +169,6 @@ void EncodeColumnPayload(uint8_t tag,
       return;
     }
   }
-}
-
-Status DecodeColumnPayload(uint8_t tag, size_t present_count, Slice payload,
-                           std::vector<MetaValue>* out) {
-  ByteReader reader(payload);
-  out->clear();
-  out->reserve(present_count);
-  switch (tag) {
-    case static_cast<uint8_t>(ValueType::kInt): {
-      std::vector<uint64_t> zz;
-      DL_RETURN_NOT_OK(SvbDecodeU64Block(&reader, present_count, &zz));
-      if (zz.size() != present_count) {
-        return Status::Corruption("columnar chunk: int column count");
-      }
-      for (uint64_t v : zz) out->emplace_back(UnZigZag64(v));
-      break;
-    }
-    case static_cast<uint8_t>(ValueType::kFloat): {
-      for (size_t i = 0; i < present_count; ++i) {
-        uint64_t bits = 0;
-        DL_ASSIGN_OR_RETURN(bits, reader.GetU64());
-        out->emplace_back(BitsDouble(bits));
-      }
-      break;
-    }
-    case static_cast<uint8_t>(ValueType::kString): {
-      std::vector<std::string> strings;
-      DL_RETURN_NOT_OK(DecodeStringDict(&reader, present_count, &strings));
-      for (std::string& s : strings) out->emplace_back(std::move(s));
-      break;
-    }
-    case static_cast<uint8_t>(ValueType::kBool): {
-      std::vector<uint8_t> bits;
-      DL_RETURN_NOT_OK(GetPackedBits(&reader, present_count, &bits));
-      for (uint8_t b : bits) out->emplace_back(b != 0);
-      break;
-    }
-    case kTagMixed: {
-      for (size_t i = 0; i < present_count; ++i) {
-        MetaValue v;
-        DL_ASSIGN_OR_RETURN(v, MetaValue::Deserialize(&reader));
-        out->push_back(std::move(v));
-      }
-      break;
-    }
-    default:
-      return Status::Corruption("columnar chunk: unknown column tag " +
-                                std::to_string(tag));
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("columnar chunk: column payload trailing bytes");
-  }
-  return Status::OK();
 }
 
 // Serializes `rows` (ids strictly ascending) into `out` and fills the
@@ -295,16 +256,18 @@ Status EncodeChunk(const std::vector<Patch>& rows, ByteBuffer* out,
       cm.name = name;
       cm.tag = tag;
       uint64_t nonnull = 0;
+      bool unordered = false;
       const MetaValue* min = nullptr;
       const MetaValue* max = nullptr;
       for (const MetaValue* v : col.values) {
         if (v->is_null()) continue;
         ++nonnull;
+        unordered = unordered || IsUnorderedValue(*v);
         if (min == nullptr || v->Compare(*min) < 0) min = v;
         if (max == nullptr || v->Compare(*max) > 0) max = v;
       }
       cm.zone.null_count = n - nonnull;
-      if (nonnull > 0) {
+      if (nonnull > 0 && !unordered) {
         ByteBuffer probe;
         min->SerializeInto(&probe);
         max->SerializeInto(&probe);
@@ -416,6 +379,422 @@ Result<ColumnarFooter> ReadFooter(const RandomAccessFile& file) {
   return footer;
 }
 
+// --- Chunk reading, shared by ReadChunk and FoldChunk ---------------------
+
+// One metadata column decoded into its physical type. `rank` maps each
+// row to its value's index among the present values (kAbsent where the
+// row lacks the key); the vector matching `tag` holds those values.
+struct TypedColumn {
+  uint8_t tag = kTagMixed;
+  std::vector<uint32_t> rank;
+  std::vector<int64_t> ints;
+  std::vector<double> floats;
+  std::vector<Slice> dict;      // kTagString entries, into the chunk bytes
+  std::vector<uint32_t> codes;  // kTagString: dictionary index per value
+  std::vector<uint8_t> bools;
+  std::vector<MetaValue> mixed;
+
+  MetaValue ValueAt(uint32_t r) const {
+    switch (tag) {
+      case kTagInt: return MetaValue(ints[r]);
+      case kTagFloat: return MetaValue(floats[r]);
+      case kTagString: return MetaValue(dict[codes[r]].ToString());
+      case kTagBool: return MetaValue(bools[r] != 0);
+      default: return mixed[r];
+    }
+  }
+
+  size_t DecodedBytes() const {
+    return rank.size() * sizeof(uint32_t) + ints.size() * sizeof(int64_t) +
+           floats.size() * sizeof(double) + dict.size() * sizeof(Slice) +
+           codes.size() * sizeof(uint32_t) + bools.size() +
+           mixed.size() * sizeof(MetaValue);
+  }
+};
+
+// Decodes one column payload against its presence bitmap (whose size the
+// directory walk has checked). This is the column's whole validation:
+// value counts, stream framing, dictionary ranges, the tag, and trailing
+// bytes.
+Status DecodeTypedColumn(uint8_t tag, Slice present, Slice payload,
+                         size_t rows, TypedColumn* out) {
+  out->tag = tag;
+  out->rank.assign(rows, kAbsent);
+  const uint8_t* bits = present.data();
+  uint32_t present_count = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    if ((bits[i / 8] >> (i % 8)) & 1) out->rank[i] = present_count++;
+  }
+  ByteReader reader(payload);
+  switch (tag) {
+    case kTagInt: {
+      std::vector<uint64_t> zz;
+      DL_RETURN_NOT_OK(SvbDecodeU64Block(&reader, present_count, &zz));
+      if (zz.size() != present_count) {
+        return Status::Corruption("columnar chunk: int column count");
+      }
+      out->ints.reserve(zz.size());
+      for (uint64_t v : zz) out->ints.push_back(UnZigZag64(v));
+      break;
+    }
+    case kTagFloat: {
+      Slice raw;
+      DL_ASSIGN_OR_RETURN(
+          raw, reader.GetBytes(present_count * sizeof(uint64_t)));
+      out->floats.reserve(present_count);
+      for (size_t k = 0; k < present_count; ++k) {
+        out->floats.push_back(
+            BitsDouble(LoadLe64(raw.data() + k * sizeof(uint64_t))));
+      }
+      break;
+    }
+    case kTagString:
+      DL_RETURN_NOT_OK(ParseStringDict(&reader, present_count, &out->dict,
+                                       &out->codes));
+      break;
+    case kTagBool:
+      DL_RETURN_NOT_OK(GetPackedBits(&reader, present_count, &out->bools));
+      break;
+    case kTagMixed:
+      out->mixed.reserve(present_count);
+      for (uint32_t k = 0; k < present_count; ++k) {
+        MetaValue v;
+        DL_ASSIGN_OR_RETURN(v, MetaValue::Deserialize(&reader));
+        out->mixed.push_back(std::move(v));
+      }
+      break;
+    default:
+      return Status::Corruption("columnar chunk: unknown column tag " +
+                                std::to_string(tag));
+  }
+  if (!reader.AtEnd()) {
+    return Status::Corruption("columnar chunk: column payload trailing bytes");
+  }
+  return Status::OK();
+}
+
+// A metadata column's directory entry; `typed` fills on first use.
+struct ChunkColumn {
+  std::string name;
+  uint8_t tag = 0;
+  Slice present;
+  Slice payload;
+  std::optional<TypedColumn> typed;
+};
+
+// A chunk that passed the validation ladder both read paths share: CRC,
+// agreement with its footer entry (row count, id range, column
+// directory), strictly ascending ids, the dataset dictionary, and the
+// framing of every fixed-column block. Slices point into `bytes`.
+struct ParsedChunk {
+  std::vector<uint8_t> bytes;
+  size_t rows = 0;
+  std::vector<uint64_t> ids;
+  std::vector<Slice> datasets;          // dictionary entries
+  std::vector<uint32_t> dataset_codes;  // one per row
+  Slice frameno_block;
+  Slice parent_block;
+  Slice bbox_block;
+  Slice pixels_block;
+  Slice features_block;
+  std::vector<ChunkColumn> columns;
+
+  ChunkColumn* Find(const std::string& name) {
+    for (ChunkColumn& col : columns) {
+      if (col.name == name) return &col;
+    }
+    return nullptr;
+  }
+
+  size_t DecodedBytes() const {
+    size_t bytes = ids.size() * sizeof(uint64_t) +
+                   datasets.size() * sizeof(Slice) +
+                   dataset_codes.size() * sizeof(uint32_t);
+    for (const ChunkColumn& col : columns) {
+      if (col.typed.has_value()) bytes += col.typed->DecodedBytes();
+    }
+    return bytes;
+  }
+};
+
+Result<const TypedColumn*> Typed(ChunkColumn* col, size_t rows) {
+  if (!col->typed.has_value()) {
+    TypedColumn typed;
+    DL_RETURN_NOT_OK(DecodeTypedColumn(col->tag, col->present, col->payload,
+                                       rows, &typed));
+    col->typed = std::move(typed);
+  }
+  return &*col->typed;
+}
+
+// The parse/validate step. Metadata payloads stay encoded until Typed()
+// asks for them; frameno, parent and bbox are only framing-checked here
+// (ReadChunk decodes them for surviving rows).
+Status ParseChunk(const RandomAccessFile& file, const ChunkMeta& cm,
+                  ParsedChunk* chunk) {
+  DL_RETURN_NOT_OK(
+      file.ReadAt(cm.offset, static_cast<size_t>(cm.length), &chunk->bytes));
+  if (Crc32c(chunk->bytes.data(), chunk->bytes.size()) != cm.crc) {
+    return Status::Corruption("columnar chunk: checksum mismatch at offset " +
+                              std::to_string(cm.offset));
+  }
+  ByteReader reader(Slice(chunk->bytes.data(), chunk->bytes.size()));
+  uint64_t rows = 0;
+  DL_ASSIGN_OR_RETURN(rows, reader.GetVarint());
+  if (rows != cm.rows) {
+    return Status::Corruption(
+        "columnar chunk: row count disagrees with footer");
+  }
+  const size_t n = static_cast<size_t>(rows);
+  chunk->rows = n;
+  Slice ids_block, dataset_block, meta_block;
+  DL_ASSIGN_OR_RETURN(ids_block, reader.GetLengthPrefixed());
+  DL_ASSIGN_OR_RETURN(dataset_block, reader.GetLengthPrefixed());
+  DL_ASSIGN_OR_RETURN(chunk->frameno_block, reader.GetLengthPrefixed());
+  DL_ASSIGN_OR_RETURN(chunk->parent_block, reader.GetLengthPrefixed());
+  DL_ASSIGN_OR_RETURN(chunk->bbox_block, reader.GetLengthPrefixed());
+  DL_ASSIGN_OR_RETURN(meta_block, reader.GetLengthPrefixed());
+  DL_ASSIGN_OR_RETURN(chunk->pixels_block, reader.GetLengthPrefixed());
+  DL_ASSIGN_OR_RETURN(chunk->features_block, reader.GetLengthPrefixed());
+  if (!reader.AtEnd()) {
+    return Status::Corruption("columnar chunk: trailing bytes");
+  }
+
+  {  // ids: always decoded (row identity)
+    std::vector<uint64_t>& ids = chunk->ids;
+    ByteReader ir(ids_block);
+    DL_RETURN_NOT_OK(SvbDecodeU64Block(&ir, n, &ids));
+    if (ids.size() != n || !ir.AtEnd()) {
+      return Status::Corruption("columnar chunk: id column count");
+    }
+    for (size_t i = 1; i < n; ++i) {
+      const uint64_t prev = ids[i - 1];
+      ids[i] += prev;
+      if (ids[i] <= prev) {
+        return Status::Corruption("columnar chunk: ids not ascending");
+      }
+    }
+    if (ids.front() != cm.id_min || ids.back() != cm.id_max) {
+      return Status::Corruption(
+          "columnar chunk: id range disagrees with footer");
+    }
+  }
+  {  // dataset: dictionary and codes; strings are built per surviving row
+    ByteReader dr(dataset_block);
+    DL_RETURN_NOT_OK(
+        ParseStringDict(&dr, n, &chunk->datasets, &chunk->dataset_codes));
+    if (!dr.AtEnd()) {
+      return Status::Corruption("columnar chunk: dataset trailing bytes");
+    }
+  }
+  {
+    ByteReader fr(chunk->frameno_block);
+    DL_ASSIGN_OR_RETURN(const size_t framenos, SvbSkipU64Block(&fr, n));
+    if (framenos != n || !fr.AtEnd()) {
+      return Status::Corruption("columnar chunk: frameno column count");
+    }
+    ByteReader pr(chunk->parent_block);
+    DL_ASSIGN_OR_RETURN(const size_t parents, SvbSkipU64Block(&pr, n));
+    if (parents != n || !pr.AtEnd()) {
+      return Status::Corruption("columnar chunk: parent column count");
+    }
+    ByteReader br(chunk->bbox_block);
+    for (int plane = 0; plane < 4; ++plane) {
+      DL_ASSIGN_OR_RETURN(const size_t values, SvbSkipU32Block(&br, n));
+      if (values != n) {
+        return Status::Corruption("columnar chunk: bbox plane count");
+      }
+    }
+    if (!br.AtEnd()) {
+      return Status::Corruption("columnar chunk: bbox trailing bytes");
+    }
+  }
+  {  // metadata column directory
+    ByteReader mr(meta_block);
+    uint64_t ncols = 0;
+    DL_ASSIGN_OR_RETURN(ncols, mr.GetVarint());
+    if (ncols != cm.columns.size()) {
+      return Status::Corruption(
+          "columnar chunk: column count disagrees with footer");
+    }
+    chunk->columns.resize(static_cast<size_t>(ncols));
+    for (size_t c = 0; c < chunk->columns.size(); ++c) {
+      ChunkColumn& col = chunk->columns[c];
+      Slice name;
+      DL_ASSIGN_OR_RETURN(name, mr.GetLengthPrefixed());
+      col.name = name.ToString();
+      if (col.name != cm.columns[c].name) {
+        return Status::Corruption(
+            "columnar chunk: column name disagrees with footer");
+      }
+      DL_ASSIGN_OR_RETURN(col.tag, mr.GetU8());
+      DL_ASSIGN_OR_RETURN(col.present, mr.GetLengthPrefixed());
+      if (col.present.size() != (n + 7) / 8) {
+        return Status::Corruption("columnar chunk: presence bitmap size");
+      }
+      DL_ASSIGN_OR_RETURN(col.payload, mr.GetLengthPrefixed());
+    }
+    if (!mr.AtEnd()) {
+      return Status::Corruption("columnar chunk: meta block trailing bytes");
+    }
+  }
+  return Status::OK();
+}
+
+// Clears keep[i] for every row whose value fails `pred`, giving exactly
+// ValuePassesPredicate's answer: a row without the key reads null and
+// fails. Numbers meet a numeric literal as doubles, as MetaValue::Compare
+// compares them (so a NaN equals every number); against any other
+// literal Compare orders by type tag alone, so one answer holds for the
+// whole column. String and bool columns decide once per distinct value.
+void NarrowBy(const TypedColumn& col, const ColumnPredicate& pred,
+              std::vector<uint8_t>* keep) {
+  auto narrow = [&](const auto& passes) {
+    for (size_t i = 0; i < keep->size(); ++i) {
+      if (!(*keep)[i]) continue;
+      const uint32_t r = col.rank[i];
+      if (r == kAbsent || !passes(r)) (*keep)[i] = 0;
+    }
+  };
+  const ValueType lit_type = pred.value.type();
+  const bool numeric_lit =
+      lit_type == ValueType::kInt || lit_type == ValueType::kFloat;
+  switch (col.tag) {
+    case kTagInt:
+    case kTagFloat: {
+      if (!numeric_lit) {
+        const MetaValue sample =
+            col.tag == kTagInt ? MetaValue(int64_t{0}) : MetaValue(0.0);
+        const bool pass = ValuePassesPredicate(sample, pred);
+        narrow([pass](uint32_t) { return pass; });
+        break;
+      }
+      const double b = pred.value.AsNumeric().value();
+      const bool lt = OpAccepts(pred.op, -1);
+      const bool eq = OpAccepts(pred.op, 0);
+      const bool gt = OpAccepts(pred.op, 1);
+      auto passes = [&](double a) { return a < b ? lt : (a > b ? gt : eq); };
+      if (col.tag == kTagInt) {
+        narrow([&](uint32_t r) {
+          return passes(static_cast<double>(col.ints[r]));
+        });
+      } else {
+        narrow([&](uint32_t r) { return passes(col.floats[r]); });
+      }
+      break;
+    }
+    case kTagString: {
+      std::vector<uint8_t> pass(col.dict.size());
+      for (size_t k = 0; k < col.dict.size(); ++k) {
+        pass[k] =
+            ValuePassesPredicate(MetaValue(col.dict[k].ToString()), pred);
+      }
+      narrow([&](uint32_t r) { return pass[col.codes[r]] != 0; });
+      break;
+    }
+    case kTagBool: {
+      const bool pass_false = ValuePassesPredicate(MetaValue(false), pred);
+      const bool pass_true = ValuePassesPredicate(MetaValue(true), pred);
+      narrow([&](uint32_t r) {
+        return col.bools[r] ? pass_true : pass_false;
+      });
+      break;
+    }
+    default:
+      narrow([&](uint32_t r) {
+        return ValuePassesPredicate(col.mixed[r], pred);
+      });
+      break;
+  }
+}
+
+// The typed filter step: runs each pushed conjunct over its column's
+// decoded values and returns the surviving rows, in order.
+Status SelectRows(ParsedChunk* chunk,
+                  const std::vector<ColumnPredicate>& preds,
+                  std::vector<uint32_t>* sel) {
+  const size_t n = chunk->rows;
+  std::vector<uint8_t> keep(n, 1);
+  for (const ColumnPredicate& pred : preds) {
+    // A null literal, or a column absent from the chunk (every row reads
+    // null): no row passes.
+    ChunkColumn* col = pred.value.is_null() ? nullptr : chunk->Find(pred.key);
+    if (col == nullptr) {
+      keep.assign(n, 0);
+      break;
+    }
+    DL_ASSIGN_OR_RETURN(const TypedColumn* typed, Typed(col, n));
+    NarrowBy(*typed, pred, &keep);
+  }
+  sel->clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i]) sel->push_back(static_cast<uint32_t>(i));
+  }
+  return Status::OK();
+}
+
+// Counts the selected rows per distinct value of `col`, by exact value
+// identity (float bits, not Compare equality, so -0.0 and 0.0 stay apart
+// as ToDisplayString keeps them), plus one null group for rows without
+// the key.
+void GroupByValue(const TypedColumn& col, const std::vector<uint32_t>& sel,
+                  std::vector<KeyCount>* out) {
+  uint64_t nulls = 0;
+  switch (col.tag) {
+    case kTagString:
+    case kTagBool: {
+      const bool strings = col.tag == kTagString;
+      std::vector<uint64_t> counts(strings ? col.dict.size() : 2, 0);
+      for (uint32_t row : sel) {
+        const uint32_t r = col.rank[row];
+        if (r == kAbsent) {
+          ++nulls;
+        } else {
+          ++counts[strings ? col.codes[r] : col.bools[r]];
+        }
+      }
+      for (size_t k = 0; k < counts.size(); ++k) {
+        if (counts[k] == 0) continue;
+        out->push_back(KeyCount{strings ? MetaValue(col.dict[k].ToString())
+                                        : MetaValue(k != 0),
+                                counts[k]});
+      }
+      break;
+    }
+    case kTagInt:
+    case kTagFloat: {
+      const bool ints = col.tag == kTagInt;
+      std::unordered_map<uint64_t, uint64_t> counts;  // value bits -> rows
+      for (uint32_t row : sel) {
+        const uint32_t r = col.rank[row];
+        if (r == kAbsent) {
+          ++nulls;
+        } else {
+          ++counts[ints ? static_cast<uint64_t>(col.ints[r])
+                        : DoubleBits(col.floats[r])];
+        }
+      }
+      for (const auto& [bits, rows] : counts) {
+        out->push_back(KeyCount{ints ? MetaValue(static_cast<int64_t>(bits))
+                                     : MetaValue(BitsDouble(bits)),
+                                rows});
+      }
+      break;
+    }
+    default:
+      for (uint32_t row : sel) {
+        const uint32_t r = col.rank[row];
+        if (r == kAbsent) {
+          ++nulls;
+        } else {
+          out->push_back(KeyCount{col.mixed[r], 1});
+        }
+      }
+      break;
+  }
+  if (nulls > 0) out->push_back(KeyCount{MetaValue(), nulls});
+}
+
 }  // namespace
 
 // --- ColumnarWriter -----------------------------------------------------
@@ -523,201 +902,33 @@ Result<PatchCollection> ColumnarReader::ReadChunk(
     return Status::InvalidArgument("columnar reader: chunk index " +
                                    std::to_string(index) + " out of range");
   }
-  const ChunkMeta& cm = footer_.chunks[index];
-  std::vector<uint8_t> buf;
-  DL_RETURN_NOT_OK(
-      file_->ReadAt(cm.offset, static_cast<size_t>(cm.length), &buf));
-  if (Crc32c(buf.data(), buf.size()) != cm.crc) {
-    return Status::Corruption("columnar chunk: checksum mismatch at offset " +
-                              std::to_string(cm.offset));
-  }
-  ByteReader reader(Slice(buf.data(), buf.size()));
-  uint64_t rows = 0;
-  DL_ASSIGN_OR_RETURN(rows, reader.GetVarint());
-  if (rows != cm.rows) {
-    return Status::Corruption(
-        "columnar chunk: row count disagrees with footer");
-  }
-  const size_t n = static_cast<size_t>(rows);
-  Slice ids_block, dataset_block, frameno_block, parent_block, bbox_block,
-      meta_block, pixels_block, features_block;
-  DL_ASSIGN_OR_RETURN(ids_block, reader.GetLengthPrefixed());
-  DL_ASSIGN_OR_RETURN(dataset_block, reader.GetLengthPrefixed());
-  DL_ASSIGN_OR_RETURN(frameno_block, reader.GetLengthPrefixed());
-  DL_ASSIGN_OR_RETURN(parent_block, reader.GetLengthPrefixed());
-  DL_ASSIGN_OR_RETURN(bbox_block, reader.GetLengthPrefixed());
-  DL_ASSIGN_OR_RETURN(meta_block, reader.GetLengthPrefixed());
-  DL_ASSIGN_OR_RETURN(pixels_block, reader.GetLengthPrefixed());
-  DL_ASSIGN_OR_RETURN(features_block, reader.GetLengthPrefixed());
-  if (!reader.AtEnd()) {
-    return Status::Corruption("columnar chunk: trailing bytes");
-  }
-
-  // ids: always decoded (row identity).
-  std::vector<uint64_t> ids;
-  {
-    ByteReader ir(ids_block);
-    DL_RETURN_NOT_OK(SvbDecodeU64Block(&ir, n, &ids));
-    if (ids.size() != n || !ir.AtEnd()) {
-      return Status::Corruption("columnar chunk: id column count");
-    }
-    for (size_t i = 1; i < n; ++i) {
-      const uint64_t prev = ids[i - 1];
-      ids[i] += prev;
-      if (ids[i] <= prev) {
-        return Status::Corruption("columnar chunk: ids not ascending");
-      }
-    }
-    if (ids.front() != cm.id_min || ids.back() != cm.id_max) {
-      return Status::Corruption(
-          "columnar chunk: id range disagrees with footer");
-    }
-  }
-
-  // Walk the metadata column directory once; decode lazily below.
-  struct ColSlices {
-    std::string name;
-    uint8_t tag = 0;
-    Slice present;
-    Slice payload;
-  };
-  std::vector<ColSlices> cols;
-  {
-    ByteReader mr(meta_block);
-    uint64_t ncols = 0;
-    DL_ASSIGN_OR_RETURN(ncols, mr.GetVarint());
-    if (ncols != cm.columns.size()) {
-      return Status::Corruption(
-          "columnar chunk: column count disagrees with footer");
-    }
-    cols.reserve(static_cast<size_t>(ncols));
-    for (uint64_t c = 0; c < ncols; ++c) {
-      ColSlices col;
-      Slice name;
-      DL_ASSIGN_OR_RETURN(name, mr.GetLengthPrefixed());
-      col.name = name.ToString();
-      if (col.name != cm.columns[c].name) {
-        return Status::Corruption(
-            "columnar chunk: column name disagrees with footer");
-      }
-      DL_ASSIGN_OR_RETURN(col.tag, mr.GetU8());
-      DL_ASSIGN_OR_RETURN(col.present, mr.GetLengthPrefixed());
-      if (col.present.size() != (n + 7) / 8) {
-        return Status::Corruption("columnar chunk: presence bitmap size");
-      }
-      DL_ASSIGN_OR_RETURN(col.payload, mr.GetLengthPrefixed());
-      cols.push_back(std::move(col));
-    }
-    if (!mr.AtEnd()) {
-      return Status::Corruption("columnar chunk: meta block trailing bytes");
-    }
-  }
-
-  // Lazily decoded columns: a rows-length presence vector plus one
-  // MetaValue per *present* row (indexed by presence rank).
-  struct DecodedCol {
-    std::vector<uint8_t> present;
-    std::vector<uint32_t> rank;  // row -> index into values (when present)
-    std::vector<MetaValue> values;
-  };
-  std::map<std::string, DecodedCol> decoded;
-  auto decode_col = [&](const ColSlices& col) -> Status {
-    if (decoded.count(col.name)) return Status::OK();
-    DecodedCol d;
-    d.present.assign(n, 0);
-    const uint8_t* bits = reinterpret_cast<const uint8_t*>(
-        col.present.data());
-    d.rank.assign(n, 0);
-    uint32_t present_count = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if ((bits[i / 8] >> (i % 8)) & 1) {
-        d.present[i] = 1;
-        d.rank[i] = present_count++;
-      }
-    }
-    DL_RETURN_NOT_OK(
-        DecodeColumnPayload(col.tag, present_count, col.payload, &d.values));
-    decoded.emplace(col.name, std::move(d));
-    return Status::OK();
-  };
-  auto find_col = [&](const std::string& name) -> const ColSlices* {
-    for (const ColSlices& col : cols) {
-      if (col.name == name) return &col;
-    }
-    return nullptr;
-  };
-
-  // Row filter: decode only the filtered columns, mark survivors.
-  std::vector<uint8_t> keep(n, 1);
-  for (const ColumnPredicate& pred : options.row_filter) {
-    if (pred.value.is_null()) {
-      keep.assign(n, 0);
-      break;
-    }
-    const ColSlices* col = find_col(pred.key);
-    if (col == nullptr) {  // every row reads null -> never passes
-      keep.assign(n, 0);
-      break;
-    }
-    DL_RETURN_NOT_OK(decode_col(*col));
-    const DecodedCol& d = decoded[pred.key];
-    static const MetaValue kNull;
-    for (size_t i = 0; i < n; ++i) {
-      if (!keep[i]) continue;
-      const MetaValue& v = d.present[i] ? d.values[d.rank[i]] : kNull;
-      if (!ValuePassesPredicate(v, pred)) keep[i] = 0;
-    }
-  }
+  ParsedChunk chunk;
+  DL_RETURN_NOT_OK(ParseChunk(*file_, footer_.chunks[index], &chunk));
   std::vector<uint32_t> sel;
-  sel.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (keep[i]) sel.push_back(static_cast<uint32_t>(i));
-  }
+  DL_RETURN_NOT_OK(SelectRows(&chunk, options.row_filter, &sel));
   PatchCollection out;
   if (sel.empty()) return out;
   out.reserve(sel.size());
+  const size_t n = chunk.rows;
 
-  // Fixed columns (cheap; always materialized for surviving rows).
-  std::vector<std::string> datasets;
-  {
-    ByteReader dr(dataset_block);
-    DL_RETURN_NOT_OK(DecodeStringDict(&dr, n, &datasets));
-    if (!dr.AtEnd()) {
-      return Status::Corruption("columnar chunk: dataset trailing bytes");
-    }
-  }
+  // Fixed columns; ParseChunk proved each block holds exactly n values.
   std::vector<uint64_t> framenos, parents;
-  {
-    ByteReader fr(frameno_block);
-    DL_RETURN_NOT_OK(SvbDecodeU64Block(&fr, n, &framenos));
-    if (framenos.size() != n || !fr.AtEnd()) {
-      return Status::Corruption("columnar chunk: frameno column count");
-    }
-    ByteReader pr(parent_block);
-    DL_RETURN_NOT_OK(SvbDecodeU64Block(&pr, n, &parents));
-    if (parents.size() != n || !pr.AtEnd()) {
-      return Status::Corruption("columnar chunk: parent column count");
-    }
-  }
   std::vector<uint32_t> bbox_planes[4];
   {
-    ByteReader br(bbox_block);
-    for (int plane = 0; plane < 4; ++plane) {
-      DL_RETURN_NOT_OK(SvbDecodeU32Block(&br, n, &bbox_planes[plane]));
-      if (bbox_planes[plane].size() != n) {
-        return Status::Corruption("columnar chunk: bbox plane count");
-      }
-    }
-    if (!br.AtEnd()) {
-      return Status::Corruption("columnar chunk: bbox trailing bytes");
+    ByteReader fr(chunk.frameno_block);
+    DL_RETURN_NOT_OK(SvbDecodeU64Block(&fr, n, &framenos));
+    ByteReader pr(chunk.parent_block);
+    DL_RETURN_NOT_OK(SvbDecodeU64Block(&pr, n, &parents));
+    ByteReader br(chunk.bbox_block);
+    for (std::vector<uint32_t>& plane : bbox_planes) {
+      DL_RETURN_NOT_OK(SvbDecodeU32Block(&br, n, &plane));
     }
   }
-
   for (uint32_t row : sel) {
     Patch p;
-    p.set_id(ids[row]);
+    p.set_id(chunk.ids[row]);
     ImgRef ref;
-    ref.dataset = datasets[row];
+    ref.dataset = chunk.datasets[chunk.dataset_codes[row]].ToString();
     ref.frameno = UnZigZag64(framenos[row]);
     ref.parent = parents[row];
     p.set_ref(std::move(ref));
@@ -729,21 +940,18 @@ Result<PatchCollection> ColumnarReader::ReadChunk(
   }
 
   // Projected metadata columns.
-  for (const ColSlices& col : cols) {
+  for (ChunkColumn& col : chunk.columns) {
     if (!options.projection.WantsMeta(col.name)) continue;
-    DL_RETURN_NOT_OK(decode_col(col));
-    const DecodedCol& d = decoded[col.name];
+    DL_ASSIGN_OR_RETURN(const TypedColumn* typed, Typed(&col, n));
     for (size_t k = 0; k < sel.size(); ++k) {
-      const uint32_t row = sel[k];
-      if (d.present[row]) {
-        out[k].mutable_meta().Set(col.name, d.values[d.rank[row]]);
-      }
+      const uint32_t r = typed->rank[sel[k]];
+      if (r != kAbsent) out[k].mutable_meta().Set(col.name, typed->ValueAt(r));
     }
   }
 
   // Pixels (skipped entirely — bytes unparsed — unless projected).
   if (options.projection.pixels) {
-    ByteReader pr(pixels_block);
+    ByteReader pr(chunk.pixels_block);
     std::vector<uint8_t> present;
     DL_RETURN_NOT_OK(GetPackedBits(&pr, n, &present));
     size_t present_count = 0;
@@ -784,7 +992,7 @@ Result<PatchCollection> ColumnarReader::ReadChunk(
 
   // Features (same skip rule).
   if (options.projection.features) {
-    ByteReader fr(features_block);
+    ByteReader fr(chunk.features_block);
     std::vector<uint8_t> present;
     DL_RETURN_NOT_OK(GetPackedBits(&fr, n, &present));
     size_t present_count = 0;
@@ -826,6 +1034,32 @@ Result<PatchCollection> ColumnarReader::ReadChunk(
   }
 
   return out;
+}
+
+Result<ChunkFold> ColumnarReader::FoldChunk(
+    size_t index, const std::vector<ColumnPredicate>& row_filter,
+    const std::string* key) const {
+  if (index >= footer_.chunks.size()) {
+    return Status::InvalidArgument("columnar reader: chunk index " +
+                                   std::to_string(index) + " out of range");
+  }
+  ParsedChunk chunk;
+  DL_RETURN_NOT_OK(ParseChunk(*file_, footer_.chunks[index], &chunk));
+  std::vector<uint32_t> sel;
+  DL_RETURN_NOT_OK(SelectRows(&chunk, row_filter, &sel));
+  ChunkFold fold;
+  fold.rows = sel.size();
+  if (!sel.empty()) {
+    ChunkColumn* col = key == nullptr ? nullptr : chunk.Find(*key);
+    if (col == nullptr) {
+      fold.keys.push_back(KeyCount{MetaValue(), fold.rows});
+    } else {
+      DL_ASSIGN_OR_RETURN(const TypedColumn* typed, Typed(col, chunk.rows));
+      GroupByValue(*typed, sel, &fold.keys);
+    }
+  }
+  fold.bytes_decoded = chunk.DecodedBytes();
+  return fold;
 }
 
 Result<PatchCollection> ColumnarReader::ReadAll() const {

@@ -4,7 +4,8 @@
 // the reader prunes chunks against pushed-down conjuncts using footer
 // zone maps alone, then decodes only the columns a projection asks for —
 // pruned chunks are never read and unprojected pixel/feature blobs are
-// never materialized.
+// never materialized. Aggregates (FoldChunk) count straight off the
+// encoded columns and build no rows at all.
 #pragma once
 
 #include <memory>
@@ -78,6 +79,20 @@ struct ChunkReadOptions {
   std::vector<ColumnPredicate> row_filter;
 };
 
+/// Selected rows of one chunk that share one value of a fold's key.
+struct KeyCount {
+  MetaValue value;  // null for rows without the key (and for every row
+                    // when the fold has no key)
+  uint64_t rows = 0;
+};
+
+/// FoldChunk's result for one chunk.
+struct ChunkFold {
+  uint64_t rows = 0;           // rows passing the row filter
+  std::vector<KeyCount> keys;  // those rows by key value; sums to `rows`
+  uint64_t bytes_decoded = 0;  // every buffer the fold decoded
+};
+
 /// \brief Read-side of the format. Immutable snapshot of the footer taken
 /// at Open(); safe for concurrent ReadChunk calls from many threads (all
 /// I/O is positional pread). Holding the reader keeps the snapshot alive
@@ -101,11 +116,21 @@ class ColumnarReader {
   std::vector<size_t> SelectChunks(
       const std::vector<ColumnPredicate>& preds) const;
 
-  /// Reads + decodes one chunk: CRC-verified, filter applied during
-  /// decode, only projected columns materialized. Corruption on any
-  /// mismatch with the footer catalog.
+  /// Reads + decodes one chunk: CRC-verified, filter applied to the typed
+  /// column values, rows built only for survivors and only from projected
+  /// columns. Corruption on any mismatch with the footer catalog.
   Result<PatchCollection> ReadChunk(size_t index,
                                     const ChunkReadOptions& options) const;
+
+  /// The aggregate read: verifies, parses and filters one chunk with the
+  /// same steps as ReadChunk, then counts the surviving rows per value of
+  /// metadata column `key` (one group when `key` is null) without
+  /// building a row; only the filter and key columns are decoded. Fails
+  /// exactly where ReadChunk fails under a meta-only projection of the
+  /// filter and key columns.
+  Result<ChunkFold> FoldChunk(size_t index,
+                              const std::vector<ColumnPredicate>& row_filter,
+                              const std::string* key) const;
 
   /// Every row of every chunk, full projection (the LoadAll path).
   Result<PatchCollection> ReadAll() const;

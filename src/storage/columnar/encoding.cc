@@ -114,6 +114,40 @@ uint64_t ControlledLength(const uint8_t* control, size_t n) {
   return total;
 }
 
+// One block's streams, after its framing checked out: `n` values whose
+// control stream accounts for exactly the `data_len` data bytes present.
+struct SvbFrame {
+  size_t n = 0;
+  const uint8_t* control = nullptr;
+  const uint8_t* data = nullptr;
+  size_t data_len = 0;
+};
+
+Result<SvbFrame> ReadFrame(ByteReader* reader, size_t max_values) {
+  uint64_t n = 0;
+  uint64_t data_len = 0;
+  DL_ASSIGN_OR_RETURN(n, reader->GetVarint());
+  DL_ASSIGN_OR_RETURN(data_len, reader->GetVarint());
+  if (n > max_values) {
+    return Status::Corruption("svb block: value count " + std::to_string(n) +
+                              " exceeds bound " + std::to_string(max_values));
+  }
+  const size_t control_len = (static_cast<size_t>(n) + 3) / 4;
+  Slice control;
+  Slice data;
+  DL_ASSIGN_OR_RETURN(control, reader->GetBytes(control_len));
+  DL_ASSIGN_OR_RETURN(data, reader->GetBytes(data_len));
+  SvbFrame frame;
+  frame.n = static_cast<size_t>(n);
+  frame.control = control.data();
+  frame.data = data.data();
+  frame.data_len = data.size();
+  if (ControlledLength(frame.control, frame.n) != data_len) {
+    return Status::Corruption("svb block: control/data length mismatch");
+  }
+  return frame;
+}
+
 }  // namespace
 
 bool SvbSimdAvailable() {
@@ -148,34 +182,23 @@ void SvbEncodeU32Block(const uint32_t* values, size_t n, ByteBuffer* out) {
 
 Status SvbDecodeU32Block(ByteReader* reader, size_t max_values,
                          std::vector<uint32_t>* out) {
-  uint64_t n = 0;
-  uint64_t data_len = 0;
-  DL_ASSIGN_OR_RETURN(n, reader->GetVarint());
-  DL_ASSIGN_OR_RETURN(data_len, reader->GetVarint());
-  if (n > max_values) {
-    return Status::Corruption("svb block: value count " + std::to_string(n) +
-                              " exceeds bound " + std::to_string(max_values));
-  }
-  const size_t control_len = (static_cast<size_t>(n) + 3) / 4;
-  Slice control;
-  Slice data;
-  DL_ASSIGN_OR_RETURN(control, reader->GetBytes(control_len));
-  DL_ASSIGN_OR_RETURN(data, reader->GetBytes(data_len));
-  const uint8_t* cptr = reinterpret_cast<const uint8_t*>(control.data());
-  if (ControlledLength(cptr, n) != data_len) {
-    return Status::Corruption("svb block: control/data length mismatch");
-  }
-  out->resize(n);
-  if (n == 0) return Status::OK();
-  const uint8_t* dptr = reinterpret_cast<const uint8_t*>(data.data());
+  DL_ASSIGN_OR_RETURN(const SvbFrame frame, ReadFrame(reader, max_values));
+  out->resize(frame.n);
+  if (frame.n == 0) return Status::OK();
 #if DEEPLENS_SVB_X86
   if (SvbSimdAvailable()) {
-    DecodeSsse3(cptr, dptr, data_len, n, out->data());
+    DecodeSsse3(frame.control, frame.data, frame.data_len, frame.n,
+                out->data());
     return Status::OK();
   }
 #endif
-  DecodeScalar(cptr, dptr, n, out->data());
+  DecodeScalar(frame.control, frame.data, frame.n, out->data());
   return Status::OK();
+}
+
+Result<size_t> SvbSkipU32Block(ByteReader* reader, size_t max_values) {
+  DL_ASSIGN_OR_RETURN(const SvbFrame frame, ReadFrame(reader, max_values));
+  return frame.n;
 }
 
 void SvbEncodeU64Block(const uint64_t* values, size_t n, ByteBuffer* out) {
@@ -201,6 +224,16 @@ Status SvbDecodeU64Block(ByteReader* reader, size_t max_values,
                 (static_cast<uint64_t>(lanes[2 * i + 1]) << 32);
   }
   return Status::OK();
+}
+
+Result<size_t> SvbSkipU64Block(ByteReader* reader, size_t max_values) {
+  if (max_values > SIZE_MAX / 2) max_values = SIZE_MAX / 2;
+  DL_ASSIGN_OR_RETURN(const size_t lanes,
+                      SvbSkipU32Block(reader, max_values * 2));
+  if (lanes % 2 != 0) {
+    return Status::Corruption("svb u64 block: odd lane count");
+  }
+  return lanes / 2;
 }
 
 }  // namespace columnar

@@ -38,10 +38,15 @@ void SvbEncodeU32Block(const uint32_t* values, size_t n, ByteBuffer* out);
 Status SvbDecodeU32Block(ByteReader* reader, size_t max_values,
                          std::vector<uint32_t>* out);
 
+/// Checks a block's framing exactly as SvbDecodeU32Block does and steps
+/// past it without decoding; returns the value count.
+Result<size_t> SvbSkipU32Block(ByteReader* reader, size_t max_values);
+
 /// 64-bit variants: each value contributes a lo and a hi u32 lane.
 void SvbEncodeU64Block(const uint64_t* values, size_t n, ByteBuffer* out);
 Status SvbDecodeU64Block(ByteReader* reader, size_t max_values,
                          std::vector<uint64_t>* out);
+Result<size_t> SvbSkipU64Block(ByteReader* reader, size_t max_values);
 
 /// Zigzag maps signed values to unsigned so small negatives stay small.
 inline uint64_t ZigZag64(int64_t v) {

@@ -1,6 +1,7 @@
 #include "storage/columnar/format.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/env.h"
 #include "exec/expression_patterns.h"
@@ -167,10 +168,8 @@ PredicatePushdown ExtractPushdown(const ExprPtr& predicate) {
   return down;
 }
 
-bool ValuePassesPredicate(const MetaValue& attr, const ColumnPredicate& pred) {
-  if (attr.is_null() || pred.value.is_null()) return false;
-  const int c = attr.Compare(pred.value);
-  switch (pred.op) {
+bool OpAccepts(int op, int c) {
+  switch (op) {
     case -2: return c < 0;
     case -1: return c <= 0;
     case 0: return c == 0;
@@ -178,6 +177,15 @@ bool ValuePassesPredicate(const MetaValue& attr, const ColumnPredicate& pred) {
     case 2: return c > 0;
   }
   return false;
+}
+
+bool ValuePassesPredicate(const MetaValue& attr, const ColumnPredicate& pred) {
+  if (attr.is_null() || pred.value.is_null()) return false;
+  return OpAccepts(pred.op, attr.Compare(pred.value));
+}
+
+bool IsUnorderedValue(const MetaValue& v) {
+  return v.type() == ValueType::kFloat && std::isnan(v.AsFloat().value());
 }
 
 bool ChunkMayMatch(const ChunkMeta& chunk,
@@ -189,7 +197,11 @@ bool ChunkMayMatch(const ChunkMeta& chunk,
     // Column absent, or present but null on every row: Get() yields null
     // for each row, and null never passes a comparison.
     if (col == nullptr || col->zone.null_count >= chunk.rows) return false;
-    if (!col->zone.has_minmax) continue;  // can't prune, can't rule out
+    // No stats, or NaN bounds from a writer that let one in: can't prune.
+    if (!col->zone.has_minmax || IsUnorderedValue(col->zone.min) ||
+        IsUnorderedValue(col->zone.max)) {
+      continue;
+    }
     const int min_cmp = col->zone.min.Compare(pred.value);
     const int max_cmp = col->zone.max.Compare(pred.value);
     bool possible = true;

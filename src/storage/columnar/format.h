@@ -66,7 +66,8 @@ std::string ViewFormatFromEnv();
 /// ChunkMayMatch without touching the chunk.
 struct ZoneMap {
   uint64_t null_count = 0;  // rows where meta.Get(name).is_null()
-  bool has_minmax = false;  // false: all-null column or oversized values
+  bool has_minmax = false;  // false: all-null column, oversized values, or
+                            // a NaN (see IsUnorderedValue)
   MetaValue min;            // min/max under MetaValue::Compare over the
   MetaValue max;            // non-null values (cross-type by type tag)
 };
@@ -135,6 +136,16 @@ PredicatePushdown ExtractPushdown(const ExprPtr& predicate);
 /// CompiledPredicate::StepPasses: a null attribute or null literal never
 /// passes; otherwise MetaValue::Compare decides.
 bool ValuePassesPredicate(const MetaValue& attr, const ColumnPredicate& pred);
+
+/// Whether a three-way comparison result `c` (attribute vs literal)
+/// satisfies the ColumnPredicate op `op`; false for an unknown op.
+bool OpAccepts(int op, int c);
+
+/// True for a float NaN. MetaValue::Compare finds a NaN equal to every
+/// number, so it has no place in a min/max order: the writer stores no
+/// min/max for a column holding one, and ChunkMayMatch never prunes on a
+/// NaN bound.
+bool IsUnorderedValue(const MetaValue& v);
 
 /// Zone-map test: false only when *no* row in the chunk can pass every
 /// conjunct. Conservative in both directions the format needs: a column

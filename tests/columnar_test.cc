@@ -6,6 +6,7 @@
 // decode-ahead loader (concurrent readers, byte budget, depth knob).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -62,6 +63,17 @@ void ExpectSamePatches(const PatchCollection& a, const PatchCollection& b) {
     EXPECT_EQ(SerializePatch(a[i]), SerializePatch(b[i]))
         << "patch " << i << " (id " << a[i].id() << ")";
   }
+}
+
+// Flips one bit of the byte at `offset`, in place.
+void FlipByte(const std::string& path, uint64_t offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x40);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&byte, 1);
 }
 
 Image NoisyImage(int w, int h, uint64_t seed) {
@@ -412,37 +424,128 @@ TEST_F(ColumnarTest, ZoneMapPrunedScanMatchesUnprunedScan) {
   }
 }
 
+// Rows for the aggregate differential: typed columns the fold reads
+// directly (string "label", float "score" with NaNs, int "frameno", bool
+// "flag"), the mixed-tag "odd" column it falls back on, and a "zone" key
+// that only every third 20-row chunk carries.
+PatchCollection AggregatePatches(size_t n, uint64_t seed, bool null_heavy) {
+  Rng rng(seed);
+  PatchCollection out;
+  for (size_t i = 0; i < n; ++i) {
+    Patch p = RandomPatch(static_cast<PatchId>(i + 1), &rng, null_heavy);
+    MetaDict& meta = p.mutable_meta();
+    meta.Set("bucket", static_cast<int64_t>(i / 10));
+    if (rng.NextU64Below(8) == 0) meta.Set("score", std::nan(""));
+    if (rng.NextU64Below(3) == 0) meta.Set("flag", rng.NextU64Below(2) == 0);
+    if ((i / 20) % 3 == 1) {
+      meta.Set("zone", std::string(i % 2 == 0 ? "north" : "south"));
+    }
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
 TEST_F(ColumnarTest, AggregatesOnAttachedViewMatchResident) {
   setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "20", 1);
-  const PatchCollection patches = BucketedPatches(200);
+  const struct {
+    const char* name;
+    ExprPtr predicate;
+  } kPredicates[] = {
+      {"none", nullptr},
+      {"int_column_float_literal", Lt(Attr("frameno"), Lit(50.5))},
+      {"float_column_int_literal", Ge(Attr("score"), Lit(int64_t{0}))},
+      {"nan_scores", And(Gt(Attr("score"), Lit(0.25)),
+                         Le(Attr("score"), Lit(0.75)))},
+      {"string_eq", Eq(Attr("label"), Lit("car"))},
+      {"string_range",
+       And(Ge(Attr("label"), Lit("d")), Lt(Attr("label"), Lit("q")))},
+      {"string_vs_int", Lt(Attr("label"), Lit(int64_t{5}))},
+      {"mixed_tag", Eq(Attr("odd"), Lit(int64_t{3}))},
+      {"mixed_tag_range", Ge(Attr("odd"), Lit("a"))},
+      {"bool_column", Eq(Attr("flag"), Lit(true))},
+      {"key_in_some_chunks", Eq(Attr("zone"), Lit("north"))},
+      {"null_literal", Eq(Attr("label"), Lit(MetaValue()))},
+      {"every_row_filtered", Eq(Attr("frameno"), Lit(50.5))},
+      {"every_chunk_pruned", Gt(Attr("bucket"), Lit(int64_t{1000}))},
+      {"residual", Gt(Add(Attr("frameno"), Lit(int64_t{0})),
+                      Lit(int64_t{40}))},
+  };
+  const char* const kKeys[] = {"label", "score", "frameno", "flag",
+                               "odd",   "zone",  "absent"};
+  for (const bool null_heavy : {false, true}) {
+    SCOPED_TRACE(null_heavy ? "null-heavy" : "dense");
+    const PatchCollection patches =
+        AggregatePatches(300, null_heavy ? 8 : 9, null_heavy);
+    auto db = Database::Open(Path(null_heavy ? "sparse" : "dense")).value();
+    ASSERT_TRUE(db->RegisterView("v", patches).ok());
+    ASSERT_TRUE(db->PersistView("v").ok());
+    ASSERT_TRUE(db->AttachPersistedView("v").ok());
+    const ViewCache* attached = db->GetView("v").value();
+    ViewCache resident;
+    resident.patches = patches;
+
+    for (const auto& c : kPredicates) {
+      SCOPED_TRACE(c.name);
+      const ExprPtr& pred = c.predicate;
+      EXPECT_EQ(Planner::ExecuteScanCount(*attached, pred, nullptr).value(),
+                Planner::ExecuteScanCount(resident, pred, nullptr).value());
+      for (const char* key : kKeys) {
+        SCOPED_TRACE(key);
+        EXPECT_EQ(
+            Planner::ExecuteScanCountDistinct(*attached, key, pred, nullptr)
+                .value(),
+            Planner::ExecuteScanCountDistinct(resident, key, pred, nullptr)
+                .value());
+        EXPECT_EQ(
+            Planner::ExecuteScanGroupCount(*attached, key, pred, nullptr)
+                .value(),
+            Planner::ExecuteScanGroupCount(resident, key, pred, nullptr)
+                .value());
+      }
+      auto got =
+          Planner::ExecuteScanMinBy(*attached, "bucket", pred, nullptr)
+              .value();
+      auto expected =
+          Planner::ExecuteScanMinBy(resident, "bucket", pred, nullptr)
+              .value();
+      ASSERT_EQ(got.has_value(), expected.has_value());
+      if (got.has_value()) {
+        EXPECT_EQ(SerializePatch(*got), SerializePatch(*expected));
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarTest, AggregatesOverFlippedChunkByteAreTypedCorruption) {
+  setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "20", 1);
   auto db = Database::Open(Path("db")).value();
-  ASSERT_TRUE(db->RegisterView("v", patches).ok());
+  ASSERT_TRUE(db->RegisterView("v", AggregatePatches(100, 3, false)).ok());
   ASSERT_TRUE(db->PersistView("v").ok());
   ASSERT_TRUE(db->AttachPersistedView("v").ok());
-  ViewCache* attached = db->GetView("v").value();
-  ViewCache resident;
-  resident.patches = patches;
+  const ViewCache* attached = db->GetView("v").value();
+  FlipByte(attached->columnar->path(), attached->columnar->chunk(2).offset + 3);
 
-  const ExprPtr pred = Le(Attr("bucket"), Lit(int64_t{5}));
-  EXPECT_EQ(Planner::ExecuteScanCount(*attached, pred, nullptr).value(),
-            Planner::ExecuteScanCount(resident, pred, nullptr).value());
-  EXPECT_EQ(
-      Planner::ExecuteScanCountDistinct(*attached, "label", pred, nullptr)
-          .value(),
-      Planner::ExecuteScanCountDistinct(resident, "label", pred, nullptr)
-          .value());
-  EXPECT_EQ(
-      Planner::ExecuteScanGroupCount(*attached, "label", pred, nullptr)
-          .value(),
-      Planner::ExecuteScanGroupCount(resident, "label", pred, nullptr)
-          .value());
-  auto got = Planner::ExecuteScanMinBy(*attached, "bucket", pred, nullptr)
-                 .value();
-  auto expected =
-      Planner::ExecuteScanMinBy(resident, "bucket", pred, nullptr).value();
-  ASSERT_EQ(got.has_value(), expected.has_value());
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(SerializePatch(*got), SerializePatch(*expected));
+  // Fold, fully sargable row path and residual row path all reach chunk
+  // 2: each must report the damage, never count the chunks that verify.
+  const ExprPtr kPredicates[] = {
+      nullptr, Ge(Attr("bucket"), Lit(int64_t{0})),
+      Gt(Add(Attr("bucket"), Lit(int64_t{0})), Lit(int64_t{-1}))};
+  for (const ExprPtr& pred : kPredicates) {
+    EXPECT_EQ(Planner::ExecuteScanCount(*attached, pred, nullptr)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(Planner::ExecuteScanCountDistinct(*attached, "label", pred,
+                                                nullptr)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(Planner::ExecuteScanGroupCount(*attached, "label", pred,
+                                             nullptr)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+  }
 }
 
 // --- Corruption recovery ---------------------------------------------------
@@ -481,17 +584,7 @@ TEST_F(ColumnarTest, FlippedChunkByteIsTypedCorruption) {
   // fires at read time.
   auto reader = columnar::ColumnarReader::Open(Path("v.col")).value();
   ASSERT_GT(reader->num_chunks(), 1u);
-  const uint64_t offset = reader->chunk(1).offset + 3;
-  {
-    std::fstream f(Path("v.col"),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(offset));
-    char byte = 0;
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.seekp(static_cast<std::streamoff>(offset));
-    f.write(&byte, 1);
-  }
+  FlipByte(Path("v.col"), reader->chunk(1).offset + 3);
   auto damaged = columnar::ColumnarReader::Open(Path("v.col")).value();
   auto read = damaged->ReadChunk(1, columnar::ChunkReadOptions{});
   ASSERT_FALSE(read.ok());
@@ -632,6 +725,48 @@ TEST_F(ColumnarTest, DepthZeroIsSynchronous) {
   ExpectSamePatches(all, patches);
   EXPECT_EQ(loader.stats().depth, 0u);
   EXPECT_EQ(loader.stats().consumer_waits, 0u);
+}
+
+TEST_F(ColumnarTest, SingleChunkLoadRunsWithoutWorker) {
+  const PatchCollection patches = RandomPatches(40, 43);
+  columnar::ColumnarWriterOptions options;
+  options.chunk_rows = 16;
+  auto writer =
+      columnar::ColumnarWriter::Open(Path("v.col"), options).value();
+  for (const Patch& p : patches) ASSERT_TRUE(writer->Append(p).ok());
+  ASSERT_TRUE(writer->Commit().ok());
+  auto reader = columnar::ColumnarReader::Open(Path("v.col")).value();
+
+  auto drain = [&](size_t chunk, size_t depth, PatchCollection* rows) {
+    columnar::PrefetchOptions prefetch;
+    prefetch.depth = depth;
+    columnar::AsyncChunkLoader loader(reader, {chunk},
+                                      columnar::ChunkReadOptions{}, prefetch);
+    while (true) {
+      auto next = loader.Next().value();
+      if (!next.has_value()) break;
+      for (Patch& p : *next) rows->push_back(std::move(p));
+    }
+    return loader.stats();
+  };
+  for (size_t chunk = 0; chunk < reader->num_chunks(); ++chunk) {
+    SCOPED_TRACE(chunk);
+    PatchCollection prefetched, synchronous;
+    const columnar::PrefetchStats a = drain(chunk, 4, &prefetched);
+    const columnar::PrefetchStats b = drain(chunk, 0, &synchronous);
+    ExpectSamePatches(prefetched, synchronous);
+    EXPECT_EQ(a.depth, 4u);
+    EXPECT_EQ(a.chunks_loaded, 1u);
+    EXPECT_EQ(a.chunks_loaded, b.chunks_loaded);
+    EXPECT_EQ(a.rows_loaded, b.rows_loaded);
+    EXPECT_EQ(a.bytes_decoded, b.bytes_decoded);
+    EXPECT_EQ(a.consumer_waits, b.consumer_waits);
+    EXPECT_EQ(a.budget_waits, b.budget_waits);
+    // Only a worker queues chunks: no queue high-water mark means the
+    // chunk was loaded on the calling thread.
+    EXPECT_EQ(a.peak_queued_bytes, 0u);
+    EXPECT_EQ(b.peak_queued_bytes, 0u);
+  }
 }
 
 TEST_F(ColumnarTest, ProjectionSkipsUnrequestedColumns) {

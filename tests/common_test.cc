@@ -214,6 +214,53 @@ TEST(KeyEncodingTest, F64OrderPreservedAcrossSign) {
 TEST(ChecksumTest, Crc32cKnownValue) {
   // CRC32C("123456789") is the classic check value.
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable("123456789", 9), 0xE3069283u);
+}
+
+TEST(ChecksumTest, DispatchedKernelMatchesTablePath) {
+  // Every length 0..1024 at start offsets 0..15 covers each alignment of
+  // the kernel's 8-byte loop and of its byte tail.
+  RecordProperty("crc32c_path",
+                 Crc32cHardwareAvailable() ? "sse4.2" : "table");
+  Rng rng(3720);
+  std::vector<uint8_t> buf(1024 + 15);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(Crc32c(buf.data() + offset, len),
+                Crc32cPortable(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(ChecksumTest, SeededAndChainedCallsCompose) {
+  Rng rng(9);
+  std::vector<uint8_t> data(1000);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.NextU64());
+  const uint32_t whole = Crc32cPortable(data.data(), data.size());
+  for (size_t split : {0, 1, 7, 8, 9, 500, 999, 1000}) {
+    const uint8_t* tail = data.data() + split;
+    const size_t tail_len = data.size() - split;
+    EXPECT_EQ(Crc32c(tail, tail_len, Crc32c(data.data(), split)), whole)
+        << "split " << split;
+    EXPECT_EQ(Crc32cPortable(tail, tail_len,
+                             Crc32cPortable(data.data(), split)),
+              whole)
+        << "split " << split;
+  }
+  for (uint32_t seed : {1u, 0x12345678u, 0xffffffffu}) {
+    EXPECT_EQ(Crc32c(data.data(), data.size(), seed),
+              Crc32cPortable(data.data(), data.size(), seed));
+  }
+}
+
+TEST(ChecksumTest, LargeRandomBufferMatchesTablePath) {
+  Rng rng(20);
+  std::vector<uint8_t> data(1 << 20);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.NextU64());
+  EXPECT_EQ(Crc32c(data.data(), data.size()),
+            Crc32cPortable(data.data(), data.size()));
 }
 
 TEST(ChecksumTest, DetectsCorruption) {
