@@ -122,7 +122,7 @@ stage_asan() {
   cmake --build "$dir" -j"$NPROC" \
     --target exec_parallel_test exec_batch_test cache_test persistence_test \
              storage_test serving_test columnar_test optimizer_test \
-             batch_former_test common_test
+             batch_former_test common_test core_test
   (cd "$dir" && ctest --output-on-failure -L 'parallel|persistence|kernels')
 }
 

@@ -667,43 +667,71 @@ namespace {
 // when the plan is a full scan (no index consulted). Matches against the
 // *source* predicate — the index conjunct's position in the executed
 // order is irrelevant to which rows the index returns.
+//
+// A B+tree plan folds every slot-0 range or equality conjunct on the
+// index key into one [max lo, min hi] probe over the encoded keys, so the
+// candidates are the intersection of what each conjunct alone would
+// fetch; strict bounds widen to inclusive ones and the compiled predicate
+// re-checks every candidate. A NaN literal never narrows a probe (it
+// compares equal to every number): with no other bound on the key the
+// plan falls back to a full scan, recorded in `plan`.
 bool CollectIndexCandidates(const ViewCache& view, const ExprPtr& predicate,
-                            const PlanExplanation& plan,
+                            PlanExplanation* plan,
                             std::vector<RowId>* candidates) {
-  if (plan.path != AccessPath::kHashLookup &&
-      plan.path != AccessPath::kBTreeLookup &&
-      plan.path != AccessPath::kBTreeRange) {
+  if (plan->path != AccessPath::kHashLookup &&
+      plan->path != AccessPath::kBTreeLookup &&
+      plan->path != AccessPath::kBTreeRange) {
     return false;
   }
   std::vector<ExprPtr> conjuncts;
   CollectConjuncts(predicate, &conjuncts);
-  for (const ExprPtr& c : conjuncts) {
-    if (plan.path == AccessPath::kHashLookup ||
-        plan.path == AccessPath::kBTreeLookup) {
+  bool probed = false;
+  if (plan->path == AccessPath::kHashLookup) {
+    for (const ExprPtr& c : conjuncts) {
       auto eq = MatchAttrEqLit(c);
-      if (!eq.has_value() || eq->key != plan.index_key) continue;
-      const std::string key = eq->value.ToIndexKey();
-      if (plan.path == AccessPath::kHashLookup) {
-        view.hash_indexes.at(plan.index_key).Lookup(Slice(key), candidates);
-      } else {
-        view.btree_indexes.at(plan.index_key).Lookup(Slice(key), candidates);
+      if (!eq.has_value() || eq->slot != 0 || eq->key != plan->index_key ||
+          IsUnorderedValue(eq->value)) {
+        continue;
       }
-      return true;
+      view.hash_indexes.at(plan->index_key)
+          .Lookup(Slice(eq->value.ToIndexKey()), candidates);
+      probed = true;
+      break;
     }
-    auto range = MatchAttrRange(c);
-    if (range.has_value() && range->key == plan.index_key) {
-      const BPlusTree& tree = view.btree_indexes.at(plan.index_key);
-      const std::string lo =
-          range->lo.has_value() ? range->lo->ToIndexKey() : std::string();
-      if (range->hi.has_value()) {
-        tree.RangeScan(Slice(lo), Slice(range->hi->ToIndexKey()), candidates);
-      } else {
-        tree.ScanFrom(Slice(lo), candidates);
+  } else {
+    std::optional<std::string> lo;
+    std::optional<std::string> hi;
+    for (const ExprPtr& c : conjuncts) {
+      auto range = MatchAttrRange(c);
+      if (!range.has_value() || range->slot != 0 ||
+          range->key != plan->index_key) {
+        continue;
       }
-      return true;
+      if (range->lo.has_value() && !IsUnorderedValue(*range->lo)) {
+        std::string key = range->lo->ToIndexKey();
+        if (!lo.has_value() || key > *lo) lo = std::move(key);
+      }
+      if (range->hi.has_value() && !IsUnorderedValue(*range->hi)) {
+        std::string key = range->hi->ToIndexKey();
+        if (!hi.has_value() || key < *hi) hi = std::move(key);
+      }
+    }
+    probed = lo.has_value() || hi.has_value();
+    if (probed) {
+      const BPlusTree& tree = view.btree_indexes.at(plan->index_key);
+      const Slice from = lo.has_value() ? Slice(*lo) : Slice();
+      if (hi.has_value()) {
+        tree.RangeScan(from, Slice(*hi), candidates);
+      } else {
+        tree.ScanFrom(from, candidates);
+      }
     }
   }
-  return false;
+  if (!probed) {
+    plan->path = AccessPath::kFullScan;
+    plan->description += "; index not probed (NaN literal), full scan";
+  }
+  return probed;
 }
 
 // Streams the zone-map-surviving chunks of a disk-backed view through the
@@ -801,7 +829,7 @@ Result<PatchCollection> Planner::ExecuteScan(const ViewCache& view,
 
   std::vector<RowId> candidates;
   const bool have_candidates =
-      CollectIndexCandidates(view, predicate, local, &candidates);
+      CollectIndexCandidates(view, predicate, &local, &candidates);
 
   PatchCollection out;
   if (have_candidates) {
@@ -871,7 +899,7 @@ auto ExecuteAggregateScan(const ViewCache& view, const ExprPtr& predicate,
     return finalize(std::move(state));
   }
   std::vector<RowId> candidates;
-  if (CollectIndexCandidates(view, predicate, local, &candidates)) {
+  if (CollectIndexCandidates(view, predicate, &local, &candidates)) {
     local.candidates = candidates.size();
     const CompiledPredicate compiled(plan.exec_predicate);
     for (RowId r : candidates) {

@@ -1,5 +1,6 @@
 #include "core/value.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -184,10 +185,44 @@ std::string MetaValue::ToDisplayString() const {
   return "?";
 }
 
-const MetaValue& MetaDict::Get(const std::string& key) const {
+bool IsUnorderedValue(const MetaValue& v) {
+  return v.type() == ValueType::kFloat && std::isnan(v.AsFloat().value());
+}
+
+namespace {
+
+// First entry whose key is not less than `key`.
+template <typename Entries>
+auto LowerBound(Entries& entries, std::string_view key) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const MetaDict::Entry& e, std::string_view k) { return e.first < k; });
+}
+
+}  // namespace
+
+void MetaDict::Set(std::string_view key, MetaValue value) {
+  if (entries_.empty() || entries_.back().first < key) {
+    entries_.emplace_back(std::string(key), std::move(value));
+    return;
+  }
+  auto it = LowerBound(entries_, key);
+  if (it->first == key) {
+    it->second = std::move(value);
+  } else {
+    entries_.emplace(it, std::string(key), std::move(value));
+  }
+}
+
+const MetaValue* MetaDict::Find(std::string_view key) const {
+  auto it = LowerBound(entries_, key);
+  return it != entries_.end() && it->first == key ? &it->second : nullptr;
+}
+
+const MetaValue& MetaDict::Get(std::string_view key) const {
   static const MetaValue kNull;
-  auto it = entries_.find(key);
-  return it == entries_.end() ? kNull : it->second;
+  const MetaValue* v = Find(key);
+  return v == nullptr ? kNull : *v;
 }
 
 void MetaDict::SerializeInto(ByteBuffer* out) const {
@@ -201,10 +236,14 @@ void MetaDict::SerializeInto(ByteBuffer* out) const {
 Result<MetaDict> MetaDict::Deserialize(ByteReader* reader) {
   DL_ASSIGN_OR_RETURN(uint64_t count, reader->GetVarint());
   MetaDict dict;
+  // Every entry takes at least two bytes, which bounds the reservation
+  // a corrupt count can ask for.
+  dict.entries_.reserve(static_cast<size_t>(
+      std::min<uint64_t>(count, reader->remaining() / 2)));
   for (uint64_t i = 0; i < count; ++i) {
     DL_ASSIGN_OR_RETURN(Slice key, reader->GetLengthPrefixed());
     DL_ASSIGN_OR_RETURN(MetaValue value, MetaValue::Deserialize(reader));
-    dict.Set(key.ToString(), std::move(value));
+    dict.Set(key.ToView(), std::move(value));
   }
   return dict;
 }

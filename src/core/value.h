@@ -4,8 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -67,29 +68,46 @@ class MetaValue {
   std::variant<std::monostate, int64_t, double, std::string, bool> v_;
 };
 
-/// \brief Ordered metadata dictionary.
+/// True for a float NaN. MetaValue::Compare finds a NaN equal to every
+/// number, so it has no place in an order: zone maps keep no min/max for
+/// a column holding one, and neither a zone map nor an index probe is
+/// ever narrowed by a NaN bound.
+bool IsUnorderedValue(const MetaValue& v);
+
+/// \brief Ordered metadata dictionary: one key-sorted vector of
+/// (key, value) pairs. A detection row holds ~10 short keys, so a copy
+/// is one allocation (short strings live inline) instead of a tree node
+/// per key, and a lookup is a binary search over contiguous entries. Iteration is
+/// in ascending key order (byte-wise, as std::string compares), which is
+/// what SerializeInto writes and what the columnar writer's column order
+/// relies on; keys are unique.
 class MetaDict {
  public:
-  void Set(const std::string& key, MetaValue value) {
-    entries_[key] = std::move(value);
-  }
+  using Entry = std::pair<std::string, MetaValue>;
+
+  /// Overwrites the value of an existing key, or inserts the key at its
+  /// sorted position. Setting keys in ascending order appends.
+  void Set(std::string_view key, MetaValue value);
 
   /// Null value if absent.
-  const MetaValue& Get(const std::string& key) const;
-  bool Contains(const std::string& key) const {
-    return entries_.find(key) != entries_.end();
-  }
+  const MetaValue& Get(std::string_view key) const;
+  bool Contains(std::string_view key) const { return Find(key) != nullptr; }
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  auto begin() const { return entries_.begin(); }
-  auto end() const { return entries_.end(); }
+  auto begin() const { return entries_.cbegin(); }
+  auto end() const { return entries_.cend(); }
 
+  /// Varint count, then (length-prefixed key, value) per entry in key
+  /// order. Deserialize accepts any key order; a repeated key keeps its
+  /// last value.
   void SerializeInto(ByteBuffer* out) const;
   static Result<MetaDict> Deserialize(ByteReader* reader);
 
  private:
-  std::map<std::string, MetaValue> entries_;
+  const MetaValue* Find(std::string_view key) const;
+
+  std::vector<Entry> entries_;  // ascending by key, unique
 };
 
 }  // namespace deeplens

@@ -596,6 +596,15 @@ CompiledPredicate::CompiledPredicate(ExprPtr pred) {
     }
     steps_.push_back(std::move(step));
   }
+  InitFromSteps();
+}
+
+CompiledPredicate::CompiledPredicate(std::vector<Step> steps)
+    : steps_(std::move(steps)) {
+  InitFromSteps();
+}
+
+void CompiledPredicate::InitFromSteps() {
   std::vector<uint64_t> fps;
   fps.reserve(std::min(steps_.size(), kMaxTrackedSteps));
   for (size_t i = 0; i < steps_.size() && i < kMaxTrackedSteps; ++i) {
@@ -604,14 +613,35 @@ CompiledPredicate::CompiledPredicate(ExprPtr pred) {
   if (!fps.empty()) {
     counters_ = std::make_shared<SelectivityCounters>(std::move(fps));
   }
+  // Attr-vs-literal steps run no UDF, so the fallbacks hold them all.
   std::vector<UdfUse> udfs;
-  pred->CollectUdfUse(&udfs);
+  for (const Step& step : steps_) {
+    if (step.fallback) step.fallback->CollectUdfUse(&udfs);
+  }
   for (const UdfUse& u : udfs) {
     // Priming only pays off when a cache will consume the fingerprint —
     // and not through a cascade, whose skip path exists precisely to
     // avoid touching the pixels of most rows.
     if (u.cached && !u.cascaded) has_nn_udf_ = true;
   }
+}
+
+JoinSideSplit CompiledPredicate::SplitJoinSides() const {
+  std::vector<Step> sides[2];
+  size_t s = 0;
+  for (; s < steps_.size(); ++s) {
+    const Step& step = steps_[s];
+    if (step.fallback || step.slot > 1) break;
+    Step pushed = step;
+    pushed.slot = 0;
+    sides[step.slot].push_back(std::move(pushed));
+  }
+  JoinSideSplit split;
+  split.left = CompiledPredicate(std::move(sides[0]));
+  split.right = CompiledPredicate(std::move(sides[1]));
+  split.rest = CompiledPredicate(std::vector<Step>(
+      steps_.begin() + static_cast<ptrdiff_t>(s), steps_.end()));
+  return split;
 }
 
 bool CompiledPredicate::StepPasses(const Step& step, const MetaValue& attr) {

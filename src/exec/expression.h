@@ -181,6 +181,8 @@ ExprPtr BoxIou(size_t slot_a, size_t slot_b);
 
 // --- Batch predicate compilation ----------------------------------------
 
+struct JoinSideSplit;
+
 /// \brief A predicate lowered to a flat conjunct list for batch execution.
 ///
 /// Attr-vs-literal comparisons (the planner-sargable AsAttrCmpLit shape)
@@ -214,6 +216,10 @@ class CompiledPredicate {
   Result<bool> EvalOne(const PatchTuple& row) const;
   Result<bool> EvalOnePatch(const Patch& row) const;
 
+  /// Splits a 2-tuple (join) predicate for side pushdown; see
+  /// JoinSideSplit.
+  JoinSideSplit SplitJoinSides() const;
+
  private:
   struct Step {
     // Fast conjunct: attr(slot, key) <op> value with op one of
@@ -243,6 +249,11 @@ class CompiledPredicate {
     std::vector<std::atomic<uint64_t>> passed;
   };
 
+  explicit CompiledPredicate(std::vector<Step> steps);
+  // Sets up the selectivity counters and the fingerprint-priming flag
+  // from steps_.
+  void InitFromSteps();
+
   static bool StepPasses(const Step& step, const MetaValue& attr);
 
   std::vector<Step> steps_;  // empty = always true
@@ -253,6 +264,25 @@ class CompiledPredicate {
   // queries instead of dying with the per-row copy. (Uncached UDFs never
   // hash, so priming for them would be pure waste.)
   bool has_nn_udf_ = false;
+};
+
+/// \brief A join predicate over (left, right) 2-tuples split into per-side
+/// row filters plus the rest.
+///
+/// `left` and `right` hold the *leading run* of the predicate's
+/// attr-vs-literal conjuncts whose slot is 0 or 1, each rebound to slot 0
+/// so it filters bare patches (CompiledPredicate::EvalPatchRows); `rest`
+/// holds every conjunct after that run, in order. A pair passes the
+/// original predicate iff its left row passes `left`, its right row
+/// passes `right` and the pair passes `rest`. Only the leading run moves:
+/// those conjuncts never error, and a pair failing one of them
+/// short-circuited before any later conjunct could run, so the pairs that
+/// reach `rest` — and the errors it can raise — are exactly those of the
+/// original.
+struct JoinSideSplit {
+  CompiledPredicate left;
+  CompiledPredicate right;
+  CompiledPredicate rest;
 };
 
 }  // namespace deeplens

@@ -144,6 +144,19 @@ Result<std::vector<PatchTuple>> EmitPairsParallel(
   return MergePartials(&partials);
 }
 
+// Evaluates a join side filter (exec/expression.h JoinSideSplit) over every
+// row of one input: pass[i] != 0 keeps row i. Empty when the filter is
+// always true. A side filter holds attr-vs-literal steps only, so it
+// cannot fail.
+Result<std::vector<uint8_t>> SideFilterPass(const PatchCollection& rows,
+                                            const CompiledPredicate& filter) {
+  std::vector<uint8_t> pass;
+  if (filter.always_true()) return pass;
+  pass.resize(rows.size());
+  DL_RETURN_NOT_OK(filter.EvalPatchRows(rows.data(), rows.size(), pass.data()));
+  return pass;
+}
+
 // --- Radix hash-join core ---------------------------------------------------
 
 // Below this combined input size the partition pass costs more than the
@@ -162,26 +175,30 @@ struct ProbeChunk {
 
 Result<std::vector<PatchTuple>> RadixHashJoin(
     const PatchCollection& lhs, const PatchCollection& rhs,
-    const std::string& key, const CompiledPredicate& residual,
-    size_t num_parts, JoinStats* stats, const MorselOptions& options) {
+    const std::string& key, const JoinSideSplit& split, size_t num_parts,
+    JoinStats* stats, const MorselOptions& options) {
   const bool build_right = rhs.size() <= lhs.size();
   const PatchCollection& build = build_right ? rhs : lhs;
   const PatchCollection& probe = build_right ? lhs : rhs;
+  const CompiledPredicate& residual = split.rest;
 
   size_t log2_parts = 0;
   while ((size_t{1} << log2_parts) < num_parts) ++log2_parts;
   num_parts = size_t{1} << log2_parts;
 
   // Phase 1: partition both inputs by key hash (morsel-parallel; NULL
-  // keys dropped). Keys are encoded and hashed exactly once here — the
-  // build and probe phases below reuse RadixRow::hash/key.
+  // keys and rows failing their side filter dropped). Keys are encoded and
+  // hashed exactly once here — the build and probe phases below reuse
+  // RadixRow::hash/key.
   Stopwatch partition_timer;
   RadixPartitions build_parts;
   RadixPartitions probe_parts;
-  DL_RETURN_NOT_OK(
-      RadixPartitionByKey(build, key, log2_parts, options, &build_parts));
-  DL_RETURN_NOT_OK(
-      RadixPartitionByKey(probe, key, log2_parts, options, &probe_parts));
+  DL_RETURN_NOT_OK(RadixPartitionByKey(
+      build, key, build_right ? split.right : split.left, log2_parts,
+      options, &build_parts));
+  DL_RETURN_NOT_OK(RadixPartitionByKey(
+      probe, key, build_right ? split.left : split.right, log2_parts,
+      options, &probe_parts));
   const double partition_ms = partition_timer.ElapsedMillis();
 
   // Phase 2: per-partition local tables, zero shared state.
@@ -380,7 +397,9 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
                                                  const ExprPtr& residual,
                                                  JoinStats* stats,
                                                  const MorselOptions& options) {
-  const CompiledPredicate compiled(residual);
+  // The residual's leading single-side conjuncts become per-side row
+  // filters, applied by both cores before any pair exists.
+  const JoinSideSplit split = CompiledPredicate(residual).SplitJoinSides();
 
   // The radix core wins when the probe work is large enough to amortize
   // its partition pass; the shared-build core below stays the serial /
@@ -396,17 +415,28 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
         part_override > 0
             ? static_cast<size_t>(part_override)
             : ChooseJoinPartitions(std::min(lhs.size(), rhs.size()), workers);
-    return RadixHashJoin(lhs, rhs, key, compiled, parts, stats, options);
+    return RadixHashJoin(lhs, rhs, key, split, parts, stats, options);
   }
 
   // Single-pass shared build over the smaller input; the larger side is
   // probed morsel-parallel so the parallelism scales with the probe work.
   const bool build_right = rhs.size() <= lhs.size();
   const PatchCollection& build = build_right ? rhs : lhs;
+  const PatchCollection& probe = build_right ? lhs : rhs;
+  DL_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> build_pass,
+      SideFilterPass(build, build_right ? split.right : split.left));
+  DL_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> probe_pass,
+      SideFilterPass(probe, build_right ? split.left : split.right));
+  auto probe_kept = [&](size_t i) {
+    return probe_pass.empty() || probe_pass[i] != 0;
+  };
 
   Stopwatch build_timer;
   HashIndex index;
   for (size_t i = 0; i < build.size(); ++i) {
+    if (!build_pass.empty() && build_pass[i] == 0) continue;
     const MetaValue& k = build[i].meta().Get(key);
     // SQL equality: NULL keys never match, so they never enter the table
     // — mirroring how Eq(attr, attr) evaluates through the expression
@@ -423,9 +453,10 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
     // input order, matches per row in lookup order.
     DL_ASSIGN_OR_RETURN(
         out, MorselProbeJoin(
-                 lhs.size(), compiled, options, &examined,
+                 lhs.size(), split.rest, options, &examined,
                  [&](size_t i, std::vector<RowId>* matches,
                      PairBatcher* batcher, uint64_t* local) -> Status {
+                   if (!probe_kept(i)) return Status::OK();
                    const MetaValue& k = lhs[i].meta().Get(key);
                    if (k.is_null()) return Status::OK();
                    matches->clear();
@@ -449,6 +480,7 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
         rhs.size(), plan, [&](size_t m, size_t lo, size_t hi) -> Status {
           std::vector<RowId> matches;
           for (size_t j = lo; j < hi; ++j) {
+            if (!probe_kept(j)) continue;
             const MetaValue& k = rhs[j].meta().Get(key);
             if (k.is_null()) continue;
             matches.clear();
@@ -465,8 +497,8 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
     }
     std::sort(pairs.begin(), pairs.end());
     examined = pairs.size();
-    DL_ASSIGN_OR_RETURN(out,
-                        EmitPairsParallel(lhs, rhs, pairs, compiled, options));
+    DL_ASSIGN_OR_RETURN(
+        out, EmitPairsParallel(lhs, rhs, pairs, split.rest, options));
   }
   if (stats != nullptr) {
     stats->pairs_examined = examined;

@@ -21,6 +21,10 @@ namespace deeplens {
 /// radix join's per-phase breakdown so a parallel-join regression is
 /// diagnosable from query output (Explain) instead of a bench rebuild.
 struct JoinStats {
+  /// Candidate pairs the join tested. For HashEqualityJoin: key-equal
+  /// pairs whose rows both survived the residual's pushed side filters
+  /// (not every key-equal pair when the residual leads with single-side
+  /// conjuncts).
   uint64_t pairs_examined = 0;
   uint64_t tuples_emitted = 0;
   /// Index/table build time. On the radix path this is the per-partition
@@ -84,12 +88,18 @@ Result<std::vector<PatchTuple>> NestedLoopJoin(
 ///   runs (`MorselOptions{.num_threads = 1}`) take this path, so tiny
 ///   joins never pay the partition pass.
 ///
-/// An optional `residual` predicate filters matched pairs. NULL keys
-/// never match (SQL equality, like Eq(attr, attr) through the expression
-/// engine). Output order is canonical on both cores regardless of build
-/// side — left input order, with each left row's matches in right input
-/// order — so results are byte-identical across cores, worker counts and
-/// partition counts.
+/// An optional `residual` predicate filters matched pairs. Its leading
+/// run of attr-vs-literal conjuncts on slot 0 or 1 (e.g. `a.label ==
+/// 'person' AND b.label == 'person'`) is pushed down as per-side row
+/// filters (JoinSideSplit), applied before any pair is formed: inside the
+/// radix partition pass, and while building and probing on the
+/// shared-build core. The rest runs per key-equal pair. Outputs and error
+/// statuses are those of evaluating the whole residual per pair. NULL
+/// keys never match (SQL equality, like Eq(attr, attr) through the
+/// expression engine). Output order is canonical on both cores
+/// regardless of build side — left input order, with each left row's
+/// matches in right input order — so results are byte-identical across
+/// cores, worker counts and partition counts.
 Result<std::vector<PatchTuple>> HashEqualityJoin(
     PatchIterator* left, PatchIterator* right, const std::string& key,
     const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);

@@ -33,8 +33,9 @@ size_t ChooseJoinPartitions(size_t build_rows, size_t workers) {
 }
 
 Status RadixPartitionByKey(const PatchCollection& rows,
-                           const std::string& key, size_t log2_parts,
-                           const MorselOptions& options,
+                           const std::string& key,
+                           const CompiledPredicate& row_filter,
+                           size_t log2_parts, const MorselOptions& options,
                            RadixPartitions* out) {
   const size_t num_parts = size_t{1} << log2_parts;
   const size_t n = rows.size();
@@ -47,7 +48,14 @@ Status RadixPartitionByKey(const PatchCollection& rows,
       n, plan, [&](size_t m, size_t lo, size_t hi) -> Status {
         std::vector<std::vector<RadixRow>>& local = morsel_parts[m];
         local.resize(num_parts);
+        std::vector<uint8_t> pass;
+        if (!row_filter.always_true()) {
+          pass.resize(hi - lo);
+          DL_RETURN_NOT_OK(
+              row_filter.EvalPatchRows(&rows[lo], hi - lo, pass.data()));
+        }
         for (size_t i = lo; i < hi; ++i) {
+          if (!pass.empty() && pass[i - lo] == 0) continue;
           const MetaValue& k = rows[i].meta().Get(key);
           if (k.is_null()) continue;  // SQL equality: NULL never matches
           RadixRow r;

@@ -5,7 +5,8 @@
 // using them for partition selection would leave every partition-local
 // table with a degenerate bucket distribution). Rows whose key is NULL
 // are dropped during partitioning — SQL equality semantics, identical to
-// the shared-build join core.
+// the shared-build join core — and so are rows the join's pushed side
+// filter rejects (exec/expression.h JoinSideSplit).
 //
 // Each partition ends up holding its rows in ascending source-row order
 // (per-morsel classification is concatenated partition-wise in morsel
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "core/patch.h"
+#include "exec/expression.h"
 #include "exec/pipeline.h"
 
 namespace deeplens {
@@ -65,12 +67,14 @@ uint64_t JoinPartitionOverride();
 size_t ChooseJoinPartitions(size_t build_rows, size_t workers);
 
 /// Morsel-parallel partition pass: hashes `rows[*].meta().Get(key)` and
-/// scatters non-NULL-key rows into 2^log2_parts partitions. Every
-/// partition lists its rows in ascending source-row order regardless of
-/// scheduling.
+/// scatters the rows whose key is non-NULL and that pass `row_filter` (a
+/// slot-0 predicate over the bare row; always-true keeps every row) into
+/// 2^log2_parts partitions. Every partition lists its rows in ascending
+/// source-row order regardless of scheduling.
 Status RadixPartitionByKey(const PatchCollection& rows,
-                           const std::string& key, size_t log2_parts,
-                           const MorselOptions& options,
+                           const std::string& key,
+                           const CompiledPredicate& row_filter,
+                           size_t log2_parts, const MorselOptions& options,
                            RadixPartitions* out);
 
 /// \brief Partition-local chained multimap over precomputed hashes.

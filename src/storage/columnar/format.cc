@@ -1,7 +1,6 @@
 #include "storage/columnar/format.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/env.h"
 #include "exec/expression_patterns.h"
@@ -182,10 +181,6 @@ bool OpAccepts(int op, int c) {
 bool ValuePassesPredicate(const MetaValue& attr, const ColumnPredicate& pred) {
   if (attr.is_null() || pred.value.is_null()) return false;
   return OpAccepts(pred.op, attr.Compare(pred.value));
-}
-
-bool IsUnorderedValue(const MetaValue& v) {
-  return v.type() == ValueType::kFloat && std::isnan(v.AsFloat().value());
 }
 
 bool ChunkMayMatch(const ChunkMeta& chunk,

@@ -141,12 +141,6 @@ bool ValuePassesPredicate(const MetaValue& attr, const ColumnPredicate& pred);
 /// satisfies the ColumnPredicate op `op`; false for an unknown op.
 bool OpAccepts(int op, int c);
 
-/// True for a float NaN. MetaValue::Compare finds a NaN equal to every
-/// number, so it has no place in a min/max order: the writer stores no
-/// min/max for a column holding one, and ChunkMayMatch never prunes on a
-/// NaN bound.
-bool IsUnorderedValue(const MetaValue& v);
-
 /// Zone-map test: false only when *no* row in the chunk can pass every
 /// conjunct. Conservative in both directions the format needs: a column
 /// absent from the chunk (or all-null) fails any conjunct on it, and a

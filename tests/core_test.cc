@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/benchmark_queries.h"
 #include "core/database.h"
 #include "core/planner.h"
@@ -71,6 +75,167 @@ TEST(MetaDictTest, SetGetSerialize) {
   auto back = MetaDict::Deserialize(&reader);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->Get("b").ToDisplayString(), "'two'");
+}
+
+// Keys in ascending byte order, as MetaDict iterates them.
+std::vector<std::string> KeysOf(const MetaDict& dict) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : dict) keys.push_back(key);
+  return keys;
+}
+
+TEST(MetaDictTest, OutOfOrderSetsIterateSorted) {
+  MetaDict dict;
+  dict.Set("m", 1);
+  dict.Set("c", 2);     // insert before the only key
+  dict.Set("x", 3);     // append
+  dict.Set("a", 4);     // insert at the front
+  dict.Set("e", 5);     // insert in the middle
+  dict.Set("c", "two");  // overwrite in place
+  dict.Set("x", 3.5);    // overwrite the last key
+  dict.Set("", true);    // the empty key sorts first
+  dict.Set("B", 6);      // upper case sorts before lower case
+  EXPECT_EQ(KeysOf(dict),
+            (std::vector<std::string>{"", "B", "a", "c", "e", "m", "x"}));
+  EXPECT_EQ(dict.size(), 7u);
+  EXPECT_EQ(dict.Get("c").ToDisplayString(), "'two'");
+  EXPECT_EQ(dict.Get("x").AsFloat().value(), 3.5);
+  EXPECT_EQ(dict.Get("").AsBool().value(), true);
+
+  // Against std::map over random keys, including bytes >= 0x80 (sorted
+  // unsigned, as std::string compares).
+  Rng rng(0xd1c7);
+  MetaDict random;
+  std::map<std::string, int64_t> oracle;
+  for (int i = 0; i < 500; ++i) {
+    std::string key(1 + rng.NextU64Below(3), 'a');
+    for (char& c : key) c = static_cast<char>(rng.NextU64Below(256));
+    const int64_t v = static_cast<int64_t>(i);
+    random.Set(key, v);
+    oracle[key] = v;
+    ASSERT_EQ(random.size(), oracle.size());
+  }
+  auto it = oracle.begin();
+  for (const auto& [key, value] : random) {
+    ASSERT_NE(it, oracle.end());
+    EXPECT_EQ(key, it->first);
+    EXPECT_EQ(value.AsInt().value(), it->second);
+    ++it;
+  }
+  for (const auto& [key, value] : oracle) {
+    EXPECT_EQ(random.Get(key).AsInt().value(), value);
+  }
+}
+
+TEST(MetaDictTest, MissingKeysReadNull) {
+  MetaDict dict;
+  EXPECT_TRUE(dict.Get("label").is_null());  // empty dict
+  dict.Set(meta_keys::kLabel, "car");
+  dict.Set(std::string("score"), 0.5);
+  const char* missing = "depth";
+  const std::string missing_str = "frameno";
+  EXPECT_TRUE(dict.Get(missing).is_null());
+  EXPECT_TRUE(dict.Get(missing_str).is_null());
+  EXPECT_TRUE(dict.Get("labe").is_null());    // a prefix of a key
+  EXPECT_TRUE(dict.Get("labels").is_null());  // a key plus a suffix
+  EXPECT_TRUE(dict.Get("zzz").is_null());     // past the last key
+  EXPECT_FALSE(dict.Contains(missing));
+  EXPECT_FALSE(dict.Contains(missing_str));
+  EXPECT_TRUE(dict.Contains(meta_keys::kLabel));
+  EXPECT_TRUE(dict.Contains(std::string("score")));
+  EXPECT_EQ(*dict.Get(std::string(meta_keys::kLabel)).AsString().value(),
+            "car");
+  EXPECT_EQ(dict.Get(meta_keys::kScore).AsFloat().value(), 0.5);
+}
+
+TEST(MetaDictTest, DeserializeKeepsLastDuplicate) {
+  // Hand-encoded: 4 entries, "b" twice (int 1, then string), unsorted.
+  ByteBuffer buf;
+  buf.PutVarint(4);
+  auto put = [&](const char* key, const MetaValue& v) {
+    buf.PutLengthPrefixed(Slice(key));
+    v.SerializeInto(&buf);
+  };
+  put("b", MetaValue(1));
+  put("a", MetaValue(2.5));
+  put("b", MetaValue("last"));
+  put("c", MetaValue());
+  ByteReader reader(buf.AsSlice());
+  auto dict = MetaDict::Deserialize(&reader);
+  ASSERT_TRUE(dict.ok()) << dict.status().ToString();
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_EQ(KeysOf(*dict), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(dict->Get("b").ToDisplayString(), "'last'");
+  EXPECT_TRUE(dict->Contains("c"));
+  EXPECT_TRUE(dict->Get("c").is_null());
+
+  // Re-serializing writes the deduplicated dict in key order.
+  ByteBuffer again;
+  dict->SerializeInto(&again);
+  ByteBuffer expected;
+  expected.PutVarint(3);
+  expected.PutLengthPrefixed(Slice("a"));
+  MetaValue(2.5).SerializeInto(&expected);
+  expected.PutLengthPrefixed(Slice("b"));
+  MetaValue("last").SerializeInto(&expected);
+  expected.PutLengthPrefixed(Slice("c"));
+  MetaValue().SerializeInto(&expected);
+  EXPECT_EQ(again.data(), expected.data());
+
+  // A count larger than the bytes can hold is corruption, not a huge
+  // allocation.
+  ByteBuffer lying;
+  lying.PutVarint(uint64_t{1} << 40);
+  lying.PutLengthPrefixed(Slice("a"));
+  MetaValue(1).SerializeInto(&lying);
+  ByteReader lying_reader(lying.AsSlice());
+  EXPECT_FALSE(MetaDict::Deserialize(&lying_reader).ok());
+}
+
+TEST(MetaDictTest, DetectionRowSerializesToPinnedBytes) {
+  // A detection row as the ETL writes it, keys set out of order. The
+  // expected bytes pin the on-disk encoding (count, then per key in
+  // ascending order: length-prefixed key, type tag, payload) that
+  // persisted views and the record store depend on.
+  MetaDict dict;
+  dict.Set(meta_keys::kLabel, "person");
+  dict.Set(meta_keys::kScore, 0.875);
+  dict.Set(meta_keys::kFrameNo, int64_t{1234});
+  dict.Set(meta_keys::kDataset, "traffic");
+  dict.Set(meta_keys::kPatchId, int64_t{98765});
+  dict.Set(meta_keys::kBoxX0, int64_t{12});
+  dict.Set(meta_keys::kBoxY0, int64_t{-3});
+  dict.Set(meta_keys::kBoxX1, int64_t{140});
+  dict.Set(meta_keys::kBoxY1, int64_t{96});
+  dict.Set(meta_keys::kDepth, 17.25);
+  ByteBuffer buf;
+  dict.SerializeInto(&buf);
+  static const char kGolden[] =
+      "0a"                                          // 10 entries
+      "0764617461736574" "03" "0774726166666963"    // dataset 'traffic'
+      "056465707468" "02" "0000000000403140"        // depth 17.25
+      "076672616d656e6f" "01" "a413"                // frameno 1234
+      "056c6162656c" "03" "06706572736f6e"          // label 'person'
+      "03706964" "01" "9a870c"                      // pid 98765
+      "0573636f7265" "02" "000000000000ec3f"        // score 0.875
+      "027830" "01" "18"                            // x0 12
+      "027831" "01" "9802"                          // x1 140
+      "027930" "01" "05"                            // y0 -3
+      "027931" "01" "c001";                         // y1 96
+  std::string hex;
+  for (uint8_t b : buf.data()) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  EXPECT_EQ(hex, kGolden);
+
+  ByteReader reader(buf.AsSlice());
+  auto back = MetaDict::Deserialize(&reader);
+  ASSERT_TRUE(back.ok());
+  ByteBuffer again;
+  back->SerializeInto(&again);
+  EXPECT_EQ(again.data(), buf.data());
 }
 
 TEST(PatchTest, SerializationRoundTripFull) {

@@ -390,6 +390,183 @@ TEST(RadixHashJoinTest, RepeatedRunsAreDeterministic) {
   }
 }
 
+// --- Join-side residual pushdown ---------------------------------------------
+
+// Rows for the pushdown differential: join key "k" (few values, some NULL,
+// some int), single-side filter columns "g"/score/"v", and "e", an int on
+// most rows but a string on ~4% — arithmetic over it raises a TypeError
+// only on those rows.
+PatchCollection MakePushdownInput(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  PatchCollection out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    Patch p;
+    p.set_id(static_cast<PatchId>(i + 1));
+    p.set_ref(ImgRef{"push", static_cast<int64_t>(i), kInvalidPatchId});
+    MetaDict& meta = p.mutable_meta();
+    const int key = static_cast<int>(rng.NextU64Below(6));
+    if (!rng.NextBool(0.1)) {
+      if (rng.NextBool(0.2)) {
+        meta.Set("k", int64_t{key});
+      } else {
+        meta.Set("k", "k" + std::to_string(key));
+      }
+    }
+    meta.Set("g", "g" + std::to_string(rng.NextU64Below(4)));
+    meta.Set(meta_keys::kScore, rng.NextDouble());
+    if (!rng.NextBool(0.15)) meta.Set("v", rng.NextInt(-100, 100));
+    if (rng.NextBool(0.04)) {
+      meta.Set("e", "oops");
+    } else {
+      meta.Set("e", rng.NextInt(0, 50));
+    }
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+// One residual conjunct and whether HashEqualityJoin may push it to a
+// side (an attr-vs-literal comparison on slot 0 or 1).
+struct PushConjunct {
+  ExprPtr expr;
+  bool pushable = false;
+};
+
+PushConjunct RandomPushConjunct(Rng* rng) {
+  const size_t s = rng->NextU64Below(2);
+  const std::string g = "g" + std::to_string(rng->NextU64Below(4));
+  switch (rng->NextU64Below(11)) {
+    case 0:
+      return {Eq(Attr(s, "g"), Lit(g)), true};
+    case 1:
+      return {Ge(Attr(s, meta_keys::kScore), Lit(0.2 + 0.1 * s)), true};
+    case 2:
+      return {Lt(Attr(s, "v"), Lit(rng->NextInt(-50, 80))), true};
+    case 3:
+      return {Ne(Lit(g), Attr(s, "g")), false};  // != is never pushed
+    case 4:
+      return {Le(Lit(g), Attr(s, "g")), true};  // literal written first
+    case 5:
+      return {Lt(Attr(0, meta_keys::kScore), Attr(1, meta_keys::kScore)),
+              false};
+    case 6:
+      return {Ne(Attr(0, "g"), Attr(1, "g")), false};
+    case 7:
+      return {Or(Eq(Attr(s, "g"), Lit(g)),
+                 Gt(Attr(1 - s, meta_keys::kScore), Lit(0.5))),
+              false};
+    case 8:
+    case 9:
+      // TypeError on rows whose "e" is a string.
+      return {Gt(Add(Attr(s, "e"), Lit(1)), Lit(-1)), false};
+    default:
+      // Attr-vs-literal shape, but slot 2 of a 2-tuple: OutOfRange on
+      // every pair that reaches it.
+      return {Eq(Attr(2, "g"), Lit(g)), false};
+  }
+}
+
+ExprPtr AndAll(const std::vector<PushConjunct>& conjuncts, size_t n) {
+  ExprPtr out;
+  for (size_t i = 0; i < n; ++i) {
+    out = out ? And(out, conjuncts[i].expr) : conjuncts[i].expr;
+  }
+  return out;
+}
+
+TEST(JoinPushdownTest, SideFiltersMatchNestedLoopOracleIncludingErrors) {
+  // Randomized residuals mixing pushable and non-pushable conjuncts in
+  // every order, on both cores (radix forced by the partition override,
+  // shared-build otherwise) at 1, 2 and 4 workers, for distinct inputs
+  // and for a self-join over one collection. Outputs — or the error
+  // status — must equal the nested-loop oracle, and pairs_examined must
+  // count exactly the key-equal pairs that pass the leading pushable run.
+  EnvGuard guard("DEEPLENS_JOIN_PARTITIONS");
+  Rng rng(0x9a5d);
+  const ExprPtr key_eq = Eq(Attr(0, "k"), Attr(1, "k"));
+  MorselOptions serial;
+  serial.num_threads = 1;
+  int errors = 0;
+  int successes = 0;
+  int pushed_rounds = 0;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<PushConjunct> conjuncts;
+    if (round == 0) {
+      // Pushable prefix, then the erroring fallback, then more.
+      conjuncts = {{Eq(Attr(0, "g"), Lit("g1")), true},
+                   {Ge(Attr(1, meta_keys::kScore), Lit(0.3)), true},
+                   {Gt(Add(Attr(0, "e"), Lit(1)), Lit(-1)), false},
+                   {Lt(Attr(1, "v"), Lit(0)), true}};
+    } else if (round == 1) {
+      // The erroring conjunct leads: nothing may be pushed.
+      conjuncts = {{Gt(Add(Attr(1, "e"), Lit(1)), Lit(-1)), false},
+                   {Eq(Attr(0, "g"), Lit("g2")), true}};
+    } else {
+      const size_t n = 1 + rng.NextU64Below(5);
+      for (size_t i = 0; i < n; ++i) {
+        conjuncts.push_back(RandomPushConjunct(&rng));
+      }
+    }
+    size_t prefix = 0;
+    while (prefix < conjuncts.size() && conjuncts[prefix].pushable) ++prefix;
+    if (prefix > 0) ++pushed_rounds;
+    const ExprPtr residual = AndAll(conjuncts, conjuncts.size());
+
+    const PatchCollection lhs =
+        MakePushdownInput(7100 + static_cast<uint64_t>(round), 90);
+    const PatchCollection other =
+        MakePushdownInput(9100 + static_cast<uint64_t>(round), 130);
+    for (bool self_join : {false, true}) {
+      const PatchCollection& rhs = self_join ? lhs : other;
+      auto expected =
+          NestedLoopJoin(lhs, rhs, And(key_eq, residual), nullptr, serial);
+      auto examined = NestedLoopJoin(
+          lhs, rhs, prefix > 0 ? And(key_eq, AndAll(conjuncts, prefix))
+                               : key_eq,
+          nullptr, serial);
+      ASSERT_TRUE(examined.ok()) << examined.status().ToString();
+      (expected.ok() ? successes : errors) += 1;
+
+      for (const char* parts : {"", "4"}) {
+        if (*parts == '\0') {
+          ::unsetenv("DEEPLENS_JOIN_PARTITIONS");
+        } else {
+          guard.Set(parts);
+        }
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+          MorselOptions options;
+          options.num_threads = threads;
+          options.morsel_size = 16;
+          JoinStats stats;
+          auto got = HashEqualityJoin(lhs, rhs, "k", residual, &stats,
+                                      options);
+          const std::string where =
+              "round " + std::to_string(round) + (self_join ? " self" : "") +
+              " partitions '" + parts + "' threads " +
+              std::to_string(threads) + ": " + residual->ToString();
+          ASSERT_EQ(got.ok(), expected.ok())
+              << where << " got " << got.status().ToString()
+              << " expected " << expected.status().ToString();
+          if (!expected.ok()) {
+            EXPECT_EQ(got.status().ToString(),
+                      expected.status().ToString())
+                << where;
+            continue;
+          }
+          EXPECT_EQ(BytesOf(*got), BytesOf(*expected)) << where;
+          EXPECT_EQ(stats.tuples_emitted, expected->size()) << where;
+          EXPECT_EQ(stats.pairs_examined, examined->size()) << where;
+        }
+      }
+    }
+  }
+  // The rounds must exercise both outcomes and the pushdown itself.
+  EXPECT_GT(errors, 4);
+  EXPECT_GT(successes, 10);
+  EXPECT_GT(pushed_rounds, 10);
+}
+
 // --- Nested-loop θ-join -----------------------------------------------------
 
 TEST(ParallelNestedLoopJoinTest, MatchesSerialCoreAndVolcanoOracle) {

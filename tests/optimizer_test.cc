@@ -6,6 +6,7 @@
 // under the morsel driver.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -412,6 +413,168 @@ TEST_F(OptimizerTest, SelectivityObservationsSharpenEstimates) {
   ASSERT_NE(sel, -1.0) << "no observation recorded";
   EXPECT_GT(sel, 0.05);
   EXPECT_LT(sel, 0.6);
+}
+
+// --- Index probes: intersected B+tree ranges, NaN literals ----------------
+
+// 200 frames with 1-6 rows each; every fifth frame also has a row at
+// frameno f + 0.5 (float keys interleave with int keys), and every
+// seventh frame a row with no frameno at all.
+ViewCache FrameView(bool hash_index) {
+  ViewCache view;
+  PatchId id = 1;
+  for (int64_t f = 0; f < 200; ++f) {
+    auto add = [&](MetaValue frameno) {
+      Patch p;
+      p.set_id(id++);
+      p.set_ref(ImgRef{"frames", f, kInvalidPatchId});
+      if (!frameno.is_null()) {
+        p.mutable_meta().Set(meta_keys::kFrameNo, std::move(frameno));
+      }
+      p.mutable_meta().Set("bucket", f % 4);
+      view.patches.push_back(std::move(p));
+    };
+    for (int64_t r = 0; r <= f % 6; ++r) add(MetaValue(f));
+    if (f % 5 == 0) add(MetaValue(static_cast<double>(f) + 0.5));
+    if (f % 7 == 0) add(MetaValue());
+  }
+  auto fill = [&](auto* index) {
+    for (size_t i = 0; i < view.patches.size(); ++i) {
+      const MetaValue& f = view.patches[i].meta().Get(meta_keys::kFrameNo);
+      index->Insert(Slice(f.ToIndexKey()), static_cast<RowId>(i));
+    }
+  };
+  if (hash_index) {
+    fill(&view.hash_indexes[meta_keys::kFrameNo]);
+  } else {
+    fill(&view.btree_indexes[meta_keys::kFrameNo]);
+  }
+  return view;
+}
+
+PatchCollection SerialOracle(const ViewCache& view, const ExprPtr& pred) {
+  MorselOptions serial;
+  serial.num_threads = 1;
+  auto out = ParallelSelect(view.patches, pred, serial);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? std::move(out).value() : PatchCollection{};
+}
+
+// Rows whose frameno lies in the closed interval [lo, hi].
+uint64_t RowsInClosedRange(const ViewCache& view, const MetaValue& lo,
+                           const MetaValue& hi) {
+  uint64_t n = 0;
+  for (const Patch& p : view.patches) {
+    const MetaValue& f = p.meta().Get(meta_keys::kFrameNo);
+    if (!f.is_null() && f.Compare(lo) >= 0 && f.Compare(hi) <= 0) ++n;
+  }
+  return n;
+}
+
+ExprPtr Frame() { return Attr(meta_keys::kFrameNo); }
+
+TEST_F(OptimizerTest, IntersectedRangeProbesMatchOracle) {
+  const ViewCache view = FrameView(/*hash_index=*/false);
+  struct Case {
+    const char* label;
+    ExprPtr pred;
+    MetaValue lo;  // the intersected closed range
+    MetaValue hi;
+  };
+  const std::vector<Case> cases = {
+      {"two-sided", And(Ge(Frame(), Lit(40)), Lt(Frame(), Lit(60))), 40, 60},
+      {"redundant",
+       And(And(And(Ge(Frame(), Lit(10)), Ge(Frame(), Lit(20))),
+               Lt(Frame(), Lit(30))),
+           Le(Frame(), Lit(25))),
+       20, 25},
+      {"bounds written hi-first",
+       And(Le(Frame(), Lit(150)), Gt(Frame(), Lit(140))), 140, 150},
+      {"mixed int/float",
+       And(And(Gt(Frame(), Lit(10.5)), Le(Frame(), Lit(20))),
+           Lt(Frame(), Lit(19.75))),
+       10.5, 19.75},
+      {"float lo beats int lo",
+       And(Ge(Frame(), Lit(int64_t{5})), Ge(Frame(), Lit(5.5))), 5.5, 1e9},
+      {"range under an opaque conjunct",
+       And(Ne(Attr("bucket"), Lit(2)),
+           And(Ge(Frame(), Lit(100)), Le(Frame(), Lit(110)))),
+       100, 110},
+      {"equality inside a range",
+       And(And(Ge(Frame(), Lit(30)), Lt(Frame(), Lit(90))),
+           Eq(Frame(), Lit(45))),
+       45, 45},
+      {"empty intersection",
+       And(Ge(Frame(), Lit(50)), Le(Frame(), Lit(40))), 50, 40},
+  };
+  for (const Case& c : cases) {
+    PlanExplanation plan;
+    auto rows = Planner::ExecuteScan(view, c.pred, &plan);
+    ASSERT_TRUE(rows.ok()) << c.label << ": " << rows.status().ToString();
+    EXPECT_EQ(SerializeAll(*rows), SerializeAll(SerialOracle(view, c.pred)))
+        << c.label;
+    EXPECT_TRUE(plan.path == AccessPath::kBTreeRange ||
+                plan.path == AccessPath::kBTreeLookup)
+        << c.label << ": " << plan.description;
+    EXPECT_EQ(plan.candidates, RowsInClosedRange(view, c.lo, c.hi))
+        << c.label;
+  }
+  // The empty intersection fetches nothing; the two-sided range fetches
+  // a small slice of the tree, not everything from its lower bound on.
+  PlanExplanation plan;
+  ASSERT_TRUE(Planner::ExecuteScan(
+                  view, And(Ge(Frame(), Lit(40)), Lt(Frame(), Lit(60))),
+                  &plan)
+                  .ok());
+  EXPECT_LT(plan.candidates, view.patches.size() / 4);
+}
+
+TEST_F(OptimizerTest, NaNLiteralNeverNarrowsAnIndexProbe) {
+  const double nan = std::nan("");
+  for (bool hash : {false, true}) {
+    const ViewCache view = FrameView(hash);
+    const std::vector<ExprPtr> preds = {
+        Ge(Frame(), Lit(nan)),
+        Eq(Frame(), Lit(nan)),
+        Le(Frame(), Lit(nan)),
+        And(Eq(Attr("bucket"), Lit(1)), Eq(Frame(), Lit(nan))),
+    };
+    for (const ExprPtr& pred : preds) {
+      const PatchCollection oracle = SerialOracle(view, pred);
+      PlanExplanation plan;
+      auto rows = Planner::ExecuteScan(view, pred, &plan);
+      ASSERT_TRUE(rows.ok()) << pred->ToString();
+      EXPECT_EQ(SerializeAll(*rows), SerializeAll(oracle))
+          << (hash ? "hash: " : "b+tree: ") << pred->ToString();
+      EXPECT_GT(rows->size(), 0u) << pred->ToString();
+      EXPECT_EQ(plan.path, AccessPath::kFullScan) << plan.description;
+      auto count = Planner::ExecuteScanCount(view, pred, nullptr);
+      ASSERT_TRUE(count.ok());
+      EXPECT_EQ(*count, oracle.size()) << pred->ToString();
+    }
+  }
+  // The oracle's view of NaN: equal to every number, so both predicates
+  // keep every row that has a frameno.
+  const ViewCache view = FrameView(false);
+  uint64_t numeric = 0;
+  for (const Patch& p : view.patches) {
+    numeric += p.meta().Contains(meta_keys::kFrameNo) ? 1 : 0;
+  }
+  EXPECT_EQ(SerialOracle(view, Ge(Frame(), Lit(nan))).size(), numeric);
+  EXPECT_EQ(SerialOracle(view, Eq(Frame(), Lit(nan))).size(), numeric);
+
+  // A NaN bound beside a real one: the real bound alone shapes the probe,
+  // which runs from the start of the tree (rows without a frameno hold
+  // the lowest key) up to 30.
+  const ExprPtr pred = And(Ge(Frame(), Lit(nan)), Lt(Frame(), Lit(30)));
+  PlanExplanation plan;
+  auto rows = Planner::ExecuteScan(view, pred, &plan);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(SerializeAll(*rows), SerializeAll(SerialOracle(view, pred)));
+  EXPECT_EQ(plan.path, AccessPath::kBTreeRange) << plan.description;
+  EXPECT_EQ(plan.candidates,
+            (view.patches.size() - numeric) +
+                RowsInClosedRange(view, MetaValue(-1e9), MetaValue(30)));
 }
 
 }  // namespace
