@@ -84,10 +84,8 @@ int Run() {
         DL_CHECK_OK(view.status());
         Stopwatch t1;
         {
-          auto left = MakeVectorSource((*view)->patches);
-          auto right = MakeVectorSource((*view)->patches);
           auto pairs = AllPairsSimilarityJoin(
-              left.get(), right.get(),
+              (*view)->patches, (*view)->patches,
               (*workload)->config().q1_max_distance, device);
           DL_CHECK_OK(pairs.status());
         }

@@ -74,20 +74,16 @@ int main() {
   SimilarityJoinOptions options;
   options.max_distance = 0.25f;
   Stopwatch bt_timer;
-  auto l1 = MakeVectorSource(cars1);
-  auto r1 = MakeVectorSource(cars2);
   JoinStats stats;
-  auto matches = BallTreeSimilarityJoin(l1.get(), r1.get(), options,
-                                        nullptr, &stats);
+  auto matches =
+      BallTreeSimilarityJoin(cars1, cars2, options, nullptr, &stats);
   DL_CHECK_OK(matches.status());
   const double bt_ms = bt_timer.ElapsedMillis();
 
   // Baseline: nested loop with the same predicate.
   Stopwatch nl_timer;
-  auto l2 = MakeVectorSource(cars1);
-  auto r2 = MakeVectorSource(cars2);
   auto baseline = NestedLoopJoin(
-      l2.get(), r2.get(),
+      cars1, cars2,
       Le(FeatureDistance(0, 1), Lit(static_cast<double>(options.max_distance))));
   DL_CHECK_OK(baseline.status());
   const double nl_ms = nl_timer.ElapsedMillis();

@@ -23,7 +23,6 @@
 #                        point (e.g. `test` needs a configured+built
 #                        tree); tsan/asan configure their own build dirs
 #                        and are self-contained.
-#   DEEPLENS_SKIP_TSAN=1 drops the tsan stage (back-compat knob).
 # A per-stage timing summary is printed at the end; the first failing
 # stage aborts the pipeline with its name on stderr.
 # -E so the ERR trap fires inside stage functions too (a plain `if !
@@ -37,9 +36,6 @@ NPROC="$(nproc)"
 
 STAGES="${DEEPLENS_CI_STAGES:-configure build test bench fuzz tsan asan docs}"
 STAGES="${STAGES//,/ }"
-if [[ "${DEEPLENS_SKIP_TSAN:-0}" == "1" ]]; then
-  STAGES="$(printf '%s\n' $STAGES | grep -vx tsan | tr '\n' ' ' || true)"
-fi
 
 stage_configure() {
   cmake -B "$BUILD_DIR" -S .
@@ -104,9 +100,9 @@ stage_tsan() {
     -DDEEPLENS_BUILD_BENCHES=OFF \
     -DDEEPLENS_BUILD_EXAMPLES=OFF \
     -DDEEPLENS_BUILD_FUZZERS=OFF
-  cmake --build "$dir" -j"$NPROC" \
-    --target exec_parallel_test exec_batch_test cache_test persistence_test \
-             serving_test columnar_test optimizer_test batch_former_test
+  # The deeplens_tests_<label> targets come from the label lists in
+  # CMakeLists.txt, so the build matches the `ctest -L` selection.
+  cmake --build "$dir" -j"$NPROC" --target deeplens_tests_parallel
   (cd "$dir" && ctest --output-on-failure -L parallel)
 }
 
@@ -120,9 +116,8 @@ stage_asan() {
     -DDEEPLENS_BUILD_EXAMPLES=OFF \
     -DDEEPLENS_BUILD_FUZZERS=OFF
   cmake --build "$dir" -j"$NPROC" \
-    --target exec_parallel_test exec_batch_test cache_test persistence_test \
-             storage_test serving_test columnar_test optimizer_test \
-             batch_former_test common_test core_test
+    --target deeplens_tests_parallel deeplens_tests_persistence \
+             deeplens_tests_kernels
   (cd "$dir" && ctest --output-on-failure -L 'parallel|persistence|kernels')
 }
 
@@ -134,7 +129,7 @@ stage_docs() {
   # because fixtures invent throwaway knob names on purpose.
   local knobs missing=0
   knobs="$( { grep -rhoE '"DEEPLENS_[A-Z0-9_]+"' src bench | tr -d '"';
-              grep -hoE 'DEEPLENS_(CI_STAGES|SKIP_TSAN)' scripts/ci.sh;
+              grep -hoE 'DEEPLENS_CI_STAGES' scripts/ci.sh;
             } | sort -u )"
   if [[ ! -f docs/KNOBS.md ]]; then
     echo "ci.sh: docs/KNOBS.md missing" >&2

@@ -318,6 +318,9 @@ Result<std::string> CachedOcrText(const nn::TinyOcr& ocr,
                                   bool* computed) {
   if (computed != nullptr) *computed = false;
   std::string key;
+  // The cache the singleflight probe may answer from; not one holding a
+  // wrong-typed entry for this key.
+  const InferenceCache* probe = cache;
   if (cache != nullptr && cache->enabled() && fingerprint != 0) {
     key = InferenceCache::KeyFor(
         InferenceCache::ModelOnDevice(model_names::kOcr, device),
@@ -329,6 +332,7 @@ Result<std::string> CachedOcrText(const nn::TinyOcr& ocr,
       if (const auto* text = std::get_if<std::string>(&hit->payload)) {
         return *text;
       }
+      probe = nullptr;
     }
   }
   BatchFormer* former = ActiveFormer(cache, key);
@@ -358,9 +362,10 @@ Result<std::string> CachedOcrText(const nn::TinyOcr& ocr,
   if (!key.empty() && cache->inflight() != nullptr) {
     // Singleflight the miss: under concurrent serving, K identical
     // misses in flight at once cost one model call. The leader Puts
-    // before the flight resolves, so by the time followers (or late
-    // arrivals) run, the cache answers.
-    DL_ASSIGN_OR_RETURN(auto shared, cache->inflight()->Do(key, compute));
+    // before the flight resolves, so a caller arriving after it finds
+    // the value through Do's cache probe.
+    DL_ASSIGN_OR_RETURN(auto shared,
+                        cache->inflight()->Do(key, probe, compute));
     if (const auto* text = std::get_if<std::string>(&shared->payload)) {
       return *text;
     }
@@ -389,6 +394,7 @@ Result<double> CachedDepth(const nn::TinyDepth& model, const Image& pixels,
                            InferenceCache* cache, bool* computed) {
   if (computed != nullptr) *computed = false;
   std::string key;
+  const InferenceCache* probe = cache;  // as in CachedOcrText
   if (cache != nullptr && cache->enabled() && fingerprint != 0) {
     // The geometry cue depends on the source-frame height, so it is part
     // of the key (the bbox is already folded into the fingerprint).
@@ -400,6 +406,7 @@ Result<double> CachedDepth(const nn::TinyDepth& model, const Image& pixels,
       if (const double* depth = std::get_if<double>(&hit->payload)) {
         return *depth;
       }
+      probe = nullptr;
     }
   }
   BatchFormer* former = ActiveFormer(cache, key);
@@ -423,7 +430,8 @@ Result<double> CachedDepth(const nn::TinyDepth& model, const Image& pixels,
     return value;
   };
   if (!key.empty() && cache->inflight() != nullptr) {
-    DL_ASSIGN_OR_RETURN(auto shared, cache->inflight()->Do(key, compute));
+    DL_ASSIGN_OR_RETURN(auto shared,
+                        cache->inflight()->Do(key, probe, compute));
     if (const double* depth = std::get_if<double>(&shared->payload)) {
       return *depth;
     }

@@ -106,6 +106,13 @@ class InferenceCache {
   }
   virtual void Put(const std::string& key, InferenceValue value);
 
+  /// The memory tier's resident value for `key`, or nullptr. Unlike Get
+  /// it is not an access: no recency, admission or hit/miss accounting
+  /// (see ShardedLruCache::Peek), and no disk read on a persistent cache.
+  std::shared_ptr<const InferenceValue> Peek(const std::string& key) const {
+    return cache_.Peek(key);
+  }
+
   virtual void Clear() { cache_.Clear(); }
 
   /// Called by the Database when this instance is replaced: releases

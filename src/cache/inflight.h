@@ -20,7 +20,8 @@
 // locks, and the leader computes on its own thread without touching the
 // pool, so a joined worker always unblocks once the leader's model call
 // returns. Morsel workers may join; they never lead *and* wait on the
-// same key.
+// same key. Lock order is table mutex, then a cache shard mutex (Do's
+// Peek); the cache never calls back into the table.
 #pragma once
 
 #include <cstdint>
@@ -52,24 +53,33 @@ class InflightTable {
   /// Returns the result of `compute` for `key`, running it at most once
   /// across all concurrent callers: the first becomes the leader and
   /// runs `compute` on its own thread; concurrent duplicates block until
-  /// the leader finishes and share its value (or error). `compute`
-  /// should also publish to the backing cache so late arrivals hit
-  /// there instead of re-entering the table.
-  Outcome Do(const std::string& key,
+  /// the leader finishes and share its value (or error). `compute` must
+  /// publish to `cache` (when non-null) before it returns.
+  ///
+  /// A caller that finds no flight Peeks `cache` under the table lock
+  /// before taking leadership. Callers probe the cache before calling
+  /// Do, and a leader may Put and retire its flight in between; the
+  /// value it published answers here instead of a second leader
+  /// recomputing it. Such a probe hit counts as `joined`.
+  Outcome Do(const std::string& key, const InferenceCache* cache,
              const std::function<Result<InferenceValue>()>& compute) {
     std::promise<Outcome> promise;
     std::shared_future<Outcome> joined_flight;
+    std::shared_ptr<const InferenceValue> published;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = inflight_.find(key);
       if (it != inflight_.end()) {
         ++joined_;
         joined_flight = it->second;
+      } else if (cache != nullptr && (published = cache->Peek(key))) {
+        ++joined_;
       } else {
         ++leaders_;
         inflight_.emplace(key, promise.get_future().share());
       }
     }
+    if (published != nullptr) return published;
     // Joiners wait outside the lock: the leader needs it to retire the
     // key before fulfilling the promise.
     if (joined_flight.valid()) return joined_flight.get();
@@ -84,8 +94,9 @@ class InflightTable {
       inflight_.erase(key);
       if (!outcome.ok()) ++failures_;
     }
-    // After the erase, new callers start a fresh flight (and normally
-    // hit the cache instead); everyone who joined this one wakes here.
+    // After the erase, new callers find the published value (or, if the
+    // cache refused it, start a fresh flight); everyone who joined this
+    // one wakes here.
     promise.set_value(outcome);
     return outcome;
   }

@@ -219,15 +219,20 @@ class ShardedLruCache {
     return true;
   }
 
-  /// True if `key` is resident. Touches neither the recency order nor
-  /// the hit/miss counters — a pure residency probe for callers deciding
-  /// whether a (re-)insert is worthwhile.
-  bool Contains(const std::string& key) const {
-    if (!enabled()) return false;
+  /// Returns the resident value or nullptr, like Get, but touches neither
+  /// the recency order, the admission sketch nor the hit/miss counters: a
+  /// pure residency probe that never counts as an access.
+  std::shared_ptr<const V> Peek(const std::string& key) const {
+    if (!enabled()) return nullptr;
     const Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.find(key) != shard.map.end();
+    auto it = shard.map.find(key);
+    return it == shard.map.end() ? nullptr : it->second->value;
   }
+
+  /// True if `key` is resident (a Peek for callers deciding whether a
+  /// (re-)insert is worthwhile).
+  bool Contains(const std::string& key) const { return Peek(key) != nullptr; }
 
   /// Visits a snapshot of every resident entry (most-recent first within
   /// each shard). Entries are copied out under the shard lock and the

@@ -269,27 +269,23 @@ Result<QueryRun> BenchmarkWorkload::RunQ1(bool optimized) {
                      Attr(1, meta_keys::kFrameNo));
   std::vector<PatchTuple> pairs;
   if (optimized) {
-    auto left = MakeVectorSource(view->patches);
-    auto right = MakeVectorSource(view->patches);
     SimilarityJoinOptions options;
     options.max_distance = config_.q1_max_distance;
     JoinStats stats;
     DL_ASSIGN_OR_RETURN(pairs,
-                        BallTreeSimilarityJoin(left.get(), right.get(),
+                        BallTreeSimilarityJoin(view->patches, view->patches,
                                                options, order, &stats));
     run.plan = StringFormat(
         "on-the-fly ball-tree similarity self-join (%llu distance evals)",
         static_cast<unsigned long long>(stats.pairs_examined));
   } else {
-    auto left = MakeVectorSource(view->patches);
-    auto right = MakeVectorSource(view->patches);
     ExprPtr pred =
         And(Le(FeatureDistance(0, 1),
                Lit(static_cast<double>(config_.q1_max_distance))),
             order);
     JoinStats stats;
     DL_ASSIGN_OR_RETURN(
-        pairs, NestedLoopJoin(left.get(), right.get(), pred, &stats));
+        pairs, NestedLoopJoin(view->patches, view->patches, pred, &stats));
     run.plan = StringFormat(
         "nested-loop θ-join (%llu pairs examined)",
         static_cast<unsigned long long>(stats.pairs_examined));
@@ -448,9 +444,7 @@ Result<QueryRun> BenchmarkWorkload::RunQ4(bool optimized,
   options.strategy = optimized ? DedupOptions::Strategy::kBallTree
                                : DedupOptions::Strategy::kAllPairs;
   options.device = match_device;
-  auto source = MakeVectorSource(std::move(persons));
-  DL_ASSIGN_OR_RETURN(DedupResult dedup,
-                      SimilarityDedup(source.get(), options));
+  DL_ASSIGN_OR_RETURN(DedupResult dedup, SimilarityDedup(persons, options));
   run.millis = timer.ElapsedMillis();
   run.result_count = dedup.num_clusters;
   run.plan = std::string(plan.description) + "; dedup=" +
@@ -516,10 +510,8 @@ Result<QueryRun> BenchmarkWorkload::RunQ6(bool optimized) {
   if (optimized) {
     // Index equality join on frameno (same-frame pairs only), residual
     // depth/label predicate.
-    auto left = MakeVectorSource(view->patches);
-    auto right = MakeVectorSource(view->patches);
     DL_ASSIGN_OR_RETURN(pairs,
-                        HashEqualityJoin(left.get(), right.get(),
+                        HashEqualityJoin(view->patches, view->patches,
                                          meta_keys::kFrameNo, residual,
                                          &stats));
     // Explain which join core ran (radix vs shared-build) with its phase
@@ -527,12 +519,10 @@ Result<QueryRun> BenchmarkWorkload::RunQ6(bool optimized) {
     run.plan =
         Planner::ExplainJoin(meta_keys::kFrameNo, residual, stats).description;
   } else {
-    auto left = MakeVectorSource(view->patches);
-    auto right = MakeVectorSource(view->patches);
     ExprPtr same_frame =
         Eq(Attr(0, meta_keys::kFrameNo), Attr(1, meta_keys::kFrameNo));
     DL_ASSIGN_OR_RETURN(pairs,
-                        NestedLoopJoin(left.get(), right.get(),
+                        NestedLoopJoin(view->patches, view->patches,
                                        And(same_frame, residual), &stats));
     run.plan = "nested-loop θ-join over all detection pairs";
   }
@@ -601,22 +591,19 @@ Result<PlanAccuracy> BenchmarkWorkload::RunQ4PlanOrder(
            score >= config_.q4_min_score;
   };
 
-  PatchCollection input;
+  PatchCollection filtered;
   if (filter_first) {
     for (const Patch& p : view->patches) {
-      if (passes_filter(p)) input.push_back(p);
+      if (passes_filter(p)) filtered.push_back(p);
     }
-  } else {
-    input = view->patches;
   }
+  const PatchCollection& input = filter_first ? filtered : view->patches;
 
   DedupOptions options;
   options.max_distance = config_.q4_max_distance;
   options.strategy = DedupOptions::Strategy::kAllPairs;
   options.device = match_device;
-  auto source = MakeVectorSource(input);
-  DL_ASSIGN_OR_RETURN(DedupResult dedup,
-                      SimilarityDedup(source.get(), options));
+  DL_ASSIGN_OR_RETURN(DedupResult dedup, SimilarityDedup(input, options));
   // Found same-identity pairs under this plan. Match-first keeps pairs
   // whose endpoints clustered together even when one endpoint would have
   // been dropped by the filter — the accuracy effect of Table 1.

@@ -114,8 +114,11 @@ std::string MetaValue::ToIndexKey() const {
     case ValueType::kInt:
       return "N" + EncodeKeyF64(static_cast<double>(
                        std::get<int64_t>(v_)));
-    case ValueType::kFloat:
-      return "N" + EncodeKeyF64(std::get<double>(v_));
+    case ValueType::kFloat: {
+      // -0.0 and 0.0 are equal under Compare, so they share the +0.0 key.
+      const double d = std::get<double>(v_);
+      return "N" + EncodeKeyF64(d == 0.0 ? 0.0 : d);
+    }
     case ValueType::kString:
       return "S" + std::get<std::string>(v_);
     case ValueType::kBool:

@@ -10,55 +10,6 @@
 
 namespace deeplens {
 
-Result<uint64_t> CountAll(BatchIterator* it) { return DrainBatches(it); }
-
-Result<uint64_t> CountAll(PatchIterator* it) {
-  auto batched = TupleToBatch(it);
-  return CountAll(batched.get());
-}
-
-Result<uint64_t> CountDistinctKey(BatchIterator* it,
-                                  const std::string& key) {
-  std::unordered_set<std::string> seen;
-  while (true) {
-    DL_ASSIGN_OR_RETURN(auto batch, it->Next());
-    if (!batch.has_value()) break;
-    for (const PatchTuple& tuple : batch->tuples) {
-      for (const Patch& p : tuple) {
-        seen.insert(p.meta().Get(key).ToIndexKey());
-      }
-    }
-  }
-  return static_cast<uint64_t>(seen.size());
-}
-
-Result<uint64_t> CountDistinctKey(PatchIterator* it,
-                                  const std::string& key) {
-  auto batched = TupleToBatch(it);
-  return CountDistinctKey(batched.get(), key);
-}
-
-Result<std::map<std::string, uint64_t>> GroupByCount(
-    BatchIterator* it, const std::string& key) {
-  std::map<std::string, uint64_t> groups;
-  while (true) {
-    DL_ASSIGN_OR_RETURN(auto batch, it->Next());
-    if (!batch.has_value()) break;
-    for (const PatchTuple& tuple : batch->tuples) {
-      if (tuple.empty()) continue;
-      const MetaValue& v = tuple[0].meta().Get(key);
-      ++groups[v.ToDisplayString()];
-    }
-  }
-  return groups;
-}
-
-Result<std::map<std::string, uint64_t>> GroupByCount(
-    PatchIterator* it, const std::string& key) {
-  auto batched = TupleToBatch(it);
-  return GroupByCount(batched.get(), key);
-}
-
 namespace {
 
 // Folds `value` into `slot` under the chosen reduction.
@@ -75,64 +26,6 @@ void FoldNumeric(NumericAgg agg, double value, bool fresh, double* slot) {
       break;
   }
 }
-
-}  // namespace
-
-Result<std::map<std::string, double>> GroupByNumeric(
-    BatchIterator* it, const std::string& group_key,
-    const std::string& value_key, NumericAgg agg) {
-  std::map<std::string, double> groups;
-  while (true) {
-    DL_ASSIGN_OR_RETURN(auto batch, it->Next());
-    if (!batch.has_value()) break;
-    for (const PatchTuple& tuple : batch->tuples) {
-      if (tuple.empty()) continue;
-      const Patch& p = tuple[0];
-      const MetaValue& g = p.meta().Get(group_key);
-      auto num = p.meta().Get(value_key).AsNumeric();
-      if (!num.ok()) continue;  // missing/typed-out values don't aggregate
-      auto [iter, inserted] = groups.emplace(g.ToDisplayString(), 0.0);
-      FoldNumeric(agg, num.value(), inserted, &iter->second);
-    }
-  }
-  return groups;
-}
-
-Result<std::map<std::string, double>> GroupByNumeric(
-    PatchIterator* it, const std::string& group_key,
-    const std::string& value_key, NumericAgg agg) {
-  auto batched = TupleToBatch(it);
-  return GroupByNumeric(batched.get(), group_key, value_key, agg);
-}
-
-Result<std::map<std::string, double>> GroupByMin(
-    BatchIterator* it, const std::string& group_key,
-    const std::string& value_key) {
-  return GroupByNumeric(it, group_key, value_key, NumericAgg::kMin);
-}
-
-Result<std::map<std::string, double>> GroupByMin(
-    PatchIterator* it, const std::string& group_key,
-    const std::string& value_key) {
-  auto batched = TupleToBatch(it);
-  return GroupByMin(batched.get(), group_key, value_key);
-}
-
-Result<std::map<std::string, double>> GroupByMax(
-    BatchIterator* it, const std::string& group_key,
-    const std::string& value_key) {
-  return GroupByNumeric(it, group_key, value_key, NumericAgg::kMax);
-}
-
-Result<std::map<std::string, double>> GroupBySum(
-    BatchIterator* it, const std::string& group_key,
-    const std::string& value_key) {
-  return GroupByNumeric(it, group_key, value_key, NumericAgg::kSum);
-}
-
-// --- Pre-merge parallel aggregation ----------------------------------------
-
-namespace {
 
 // Morsel-parallel scan driver for aggregation: evaluates `predicate`
 // against [lo, hi) of the source rows in place and calls
@@ -417,29 +310,8 @@ class UnionFind {
 
 }  // namespace
 
-namespace {
-
-Result<DedupResult> SimilarityDedupCore(PatchCollection patches,
-                                        const DedupOptions& options);
-
-}  // namespace
-
-Result<DedupResult> SimilarityDedup(PatchIterator* it,
+Result<DedupResult> SimilarityDedup(const PatchCollection& patches,
                                     const DedupOptions& options) {
-  DL_ASSIGN_OR_RETURN(PatchCollection patches, CollectPatches(it));
-  return SimilarityDedupCore(std::move(patches), options);
-}
-
-Result<DedupResult> SimilarityDedup(BatchIterator* it,
-                                    const DedupOptions& options) {
-  DL_ASSIGN_OR_RETURN(PatchCollection patches, CollectBatchPatches(it));
-  return SimilarityDedupCore(std::move(patches), options);
-}
-
-namespace {
-
-Result<DedupResult> SimilarityDedupCore(PatchCollection patches,
-                                        const DedupOptions& options) {
   DedupResult result;
   if (patches.empty()) return result;
 
@@ -512,32 +384,14 @@ Result<DedupResult> SimilarityDedupCore(PatchCollection patches,
   return result;
 }
 
-}  // namespace
-
-namespace {
-
-std::vector<PatchTuple> SortTuplesByKey(std::vector<PatchTuple> tuples,
-                                        const std::string& key) {
+std::vector<PatchTuple> SortByKey(std::vector<PatchTuple> tuples,
+                                  const std::string& key) {
   std::stable_sort(tuples.begin(), tuples.end(),
                    [&key](const PatchTuple& a, const PatchTuple& b) {
                      if (a.empty() || b.empty()) return b.empty() < a.empty();
                      return a[0].meta().Get(key) < b[0].meta().Get(key);
                    });
   return tuples;
-}
-
-}  // namespace
-
-Result<std::vector<PatchTuple>> SortByKey(PatchIterator* it,
-                                          const std::string& key) {
-  DL_ASSIGN_OR_RETURN(std::vector<PatchTuple> tuples, Collect(it));
-  return SortTuplesByKey(std::move(tuples), key);
-}
-
-Result<std::vector<PatchTuple>> SortByKey(BatchIterator* it,
-                                          const std::string& key) {
-  DL_ASSIGN_OR_RETURN(std::vector<PatchTuple> tuples, CollectBatches(it));
-  return SortTuplesByKey(std::move(tuples), key);
 }
 
 }  // namespace deeplens

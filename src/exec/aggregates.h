@@ -1,7 +1,8 @@
-// Aggregation and deduplication operators: count, group-by count,
-// exact distinct on a key, and similarity-based deduplication (the hard
-// part of q4 "count distinct pedestrians": near-duplicate detections of
-// the same physical object must collapse into one).
+// Aggregation and deduplication operators, each with one entry point over
+// a materialized collection: morsel-parallel count, distinct count,
+// group-by and argmin; similarity-based deduplication (the hard part of q4
+// "count distinct pedestrians": near-duplicate detections of the same
+// physical object must collapse into one); and a sort by key.
 #pragma once
 
 #include <map>
@@ -9,74 +10,27 @@
 #include <string>
 #include <vector>
 
-#include "exec/batch.h"
-#include "exec/operators.h"
 #include "exec/pipeline.h"
 #include "nn/device.h"
 
 namespace deeplens {
-
-// Each aggregate has a batch-at-a-time core (BatchIterator overload); the
-// tuple-iterator form batches its input through the vectorized engine.
-// The Parallel* family below additionally pushes predicate evaluation and
-// partial aggregation into the morsel workers ("pre-merge aggregation"),
-// so scan-fed aggregate queries never materialize intermediate survivors.
-
-/// Counts tuples.
-Result<uint64_t> CountAll(PatchIterator* it);
-Result<uint64_t> CountAll(BatchIterator* it);
-
-/// Count of distinct values of `key` (exact, hash-based).
-Result<uint64_t> CountDistinctKey(PatchIterator* it, const std::string& key);
-Result<uint64_t> CountDistinctKey(BatchIterator* it, const std::string& key);
-
-/// Group-by `key` → count, ordered by key.
-Result<std::map<std::string, uint64_t>> GroupByCount(PatchIterator* it,
-                                                     const std::string& key);
-Result<std::map<std::string, uint64_t>> GroupByCount(BatchIterator* it,
-                                                     const std::string& key);
 
 /// Which numeric reduction a group-by computes per group. Rows whose
 /// `value_key` is missing or non-numeric don't aggregate (and don't
 /// create their group).
 enum class NumericAgg { kSum, kMin, kMax };
 
-/// Group-by `group_key` → numeric reduction of `value_key`, ordered by
-/// group.
-Result<std::map<std::string, double>> GroupByNumeric(
-    BatchIterator* it, const std::string& group_key,
-    const std::string& value_key, NumericAgg agg);
-Result<std::map<std::string, double>> GroupByNumeric(
-    PatchIterator* it, const std::string& group_key,
-    const std::string& value_key, NumericAgg agg);
-
-/// Per-group minimum of a numeric attribute (e.g. first frame per label).
-Result<std::map<std::string, double>> GroupByMin(PatchIterator* it,
-                                                 const std::string& group_key,
-                                                 const std::string& value_key);
-Result<std::map<std::string, double>> GroupByMin(BatchIterator* it,
-                                                 const std::string& group_key,
-                                                 const std::string& value_key);
-
-/// Per-group maximum / sum, same conventions as GroupByMin.
-Result<std::map<std::string, double>> GroupByMax(BatchIterator* it,
-                                                 const std::string& group_key,
-                                                 const std::string& value_key);
-Result<std::map<std::string, double>> GroupBySum(BatchIterator* it,
-                                                 const std::string& group_key,
-                                                 const std::string& value_key);
-
-// --- Pre-merge parallel aggregation (the morsel-driver fast path) ---------
+// --- Pre-merge parallel aggregation ---------------------------------------
 //
-// Each function evaluates `predicate` (null = keep everything) against the
-// source rows inside the morsel workers — late materialization, survivors
-// are never copied — accumulates per-morsel partials, and combines the
-// partials in morsel-index order. Count/Min/Max/GroupBy combine
-// associatively, so results are identical to a serial scan for any morsel
-// geometry. kSum adds each morsel's partial in morsel order: deterministic
-// run-to-run for a fixed geometry, exact for integer-valued doubles, but
-// floating-point sums may round differently than a serial left-to-right
-// scan.
+// Each Parallel* function evaluates `predicate` (null = keep everything)
+// against the source rows inside the morsel workers — late
+// materialization, survivors are never copied — accumulates per-morsel
+// partials, and combines the partials in morsel-index order.
+// Count/Min/Max/GroupBy combine associatively, so results are identical
+// to a serial scan for any morsel geometry. kSum adds each morsel's
+// partial in morsel order: deterministic run-to-run for a fixed geometry,
+// exact for integer-valued doubles, but floating-point sums may round
+// differently than a serial left-to-right scan.
 
 /// COUNT(*) over the rows passing `predicate`.
 Result<uint64_t> ParallelCount(const PatchCollection& rows,
@@ -133,15 +87,12 @@ struct DedupResult {
 };
 
 /// Collapses near-duplicates into clusters (q4's distinct qualifier).
-Result<DedupResult> SimilarityDedup(PatchIterator* it,
-                                    const DedupOptions& options);
-Result<DedupResult> SimilarityDedup(BatchIterator* it,
+Result<DedupResult> SimilarityDedup(const PatchCollection& patches,
                                     const DedupOptions& options);
 
-/// Sorts a materialized tuple stream by a metadata key (ascending).
-Result<std::vector<PatchTuple>> SortByKey(PatchIterator* it,
-                                          const std::string& key);
-Result<std::vector<PatchTuple>> SortByKey(BatchIterator* it,
-                                          const std::string& key);
+/// Stable-sorts tuples by their first patch's `key` value (ascending);
+/// empty tuples sort first.
+std::vector<PatchTuple> SortByKey(std::vector<PatchTuple> tuples,
+                                  const std::string& key);
 
 }  // namespace deeplens

@@ -31,29 +31,6 @@ class BatchVectorSource : public BatchIterator {
   size_t pos_ = 0;
 };
 
-class BatchTupleSource : public BatchIterator {
- public:
-  BatchTupleSource(std::vector<PatchTuple> tuples, size_t batch_size)
-      : tuples_(std::move(tuples)), batch_size_(std::max<size_t>(1, batch_size)) {}
-
-  Result<std::optional<PatchBatch>> Next() override {
-    if (pos_ >= tuples_.size()) return std::optional<PatchBatch>();
-    const size_t n = std::min(batch_size_, tuples_.size() - pos_);
-    PatchBatch batch;
-    batch.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      batch.tuples.push_back(std::move(tuples_[pos_ + i]));
-    }
-    pos_ += n;
-    return std::optional<PatchBatch>(std::move(batch));
-  }
-
- private:
-  std::vector<PatchTuple> tuples_;
-  size_t batch_size_;
-  size_t pos_ = 0;
-};
-
 class BatchToTupleAdapter : public PatchIterator {
  public:
   explicit BatchToTupleAdapter(BatchIteratorPtr child)
@@ -131,11 +108,6 @@ BatchIteratorPtr MakeBatchVectorSource(PatchCollection patches,
   return std::make_unique<BatchVectorSource>(std::move(patches), batch_size);
 }
 
-BatchIteratorPtr MakeBatchTupleSource(std::vector<PatchTuple> tuples,
-                                      size_t batch_size) {
-  return std::make_unique<BatchTupleSource>(std::move(tuples), batch_size);
-}
-
 PatchIteratorPtr BatchToTuple(BatchIteratorPtr child) {
   return std::make_unique<BatchToTupleAdapter>(std::move(child));
 }
@@ -174,16 +146,6 @@ Result<PatchCollection> CollectBatchPatches(BatchIterator* it) {
     }
   }
   return out;
-}
-
-Result<uint64_t> DrainBatches(BatchIterator* it) {
-  uint64_t n = 0;
-  while (true) {
-    DL_ASSIGN_OR_RETURN(auto batch, it->Next());
-    if (!batch.has_value()) break;
-    n += batch->size();
-  }
-  return n;
 }
 
 }  // namespace deeplens

@@ -55,10 +55,6 @@ using BatchIteratorPtr = std::unique_ptr<BatchIterator>;
 BatchIteratorPtr MakeBatchVectorSource(PatchCollection patches,
                                        size_t batch_size = kDefaultBatchSize);
 
-/// Emits a materialized tuple vector batch-wise (joins produce these).
-BatchIteratorPtr MakeBatchTupleSource(std::vector<PatchTuple> tuples,
-                                      size_t batch_size = kDefaultBatchSize);
-
 // --- Streaming operators ---------------------------------------------------
 
 /// Batch Select: compacts each child batch down to the tuples passing
@@ -102,8 +98,5 @@ Result<std::vector<PatchTuple>> CollectBatches(BatchIterator* it);
 
 /// Pulls everything, asserting 1-tuples, into a flat collection.
 Result<PatchCollection> CollectBatchPatches(BatchIterator* it);
-
-/// Counts tuples without materializing them.
-Result<uint64_t> DrainBatches(BatchIterator* it);
 
 }  // namespace deeplens

@@ -371,24 +371,6 @@ Result<std::vector<PatchTuple>> NestedLoopJoin(const PatchCollection& lhs,
   return out;
 }
 
-Result<std::vector<PatchTuple>> NestedLoopJoin(PatchIterator* left,
-                                               PatchIterator* right,
-                                               const ExprPtr& predicate,
-                                               JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectPatches(right));
-  return NestedLoopJoin(std::move(lhs), std::move(rhs), predicate, stats);
-}
-
-Result<std::vector<PatchTuple>> NestedLoopJoin(BatchIterator* left,
-                                               BatchIterator* right,
-                                               const ExprPtr& predicate,
-                                               JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
-  return NestedLoopJoin(std::move(lhs), std::move(rhs), predicate, stats);
-}
-
 // --- Hash equality ----------------------------------------------------------
 
 Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
@@ -508,24 +490,6 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
   return out;
 }
 
-Result<std::vector<PatchTuple>> HashEqualityJoin(
-    PatchIterator* left, PatchIterator* right, const std::string& key,
-    const ExprPtr& residual, JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectPatches(right));
-  return HashEqualityJoin(std::move(lhs), std::move(rhs), key, residual,
-                          stats);
-}
-
-Result<std::vector<PatchTuple>> HashEqualityJoin(
-    BatchIterator* left, BatchIterator* right, const std::string& key,
-    const ExprPtr& residual, JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
-  return HashEqualityJoin(std::move(lhs), std::move(rhs), key, residual,
-                          stats);
-}
-
 // --- Ball-tree similarity ---------------------------------------------------
 
 Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
@@ -586,26 +550,6 @@ Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
   return out;
 }
 
-Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
-    PatchIterator* left, PatchIterator* right,
-    const SimilarityJoinOptions& options, const ExprPtr& residual,
-    JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectPatches(right));
-  return BallTreeSimilarityJoin(std::move(lhs), std::move(rhs), options,
-                                residual, stats);
-}
-
-Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
-    BatchIterator* left, BatchIterator* right,
-    const SimilarityJoinOptions& options, const ExprPtr& residual,
-    JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
-  return BallTreeSimilarityJoin(std::move(lhs), std::move(rhs), options,
-                                residual, stats);
-}
-
 // --- All-pairs (device kernel) ----------------------------------------------
 
 Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
@@ -653,24 +597,6 @@ Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
   return out;
 }
 
-Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
-    PatchIterator* left, PatchIterator* right, float max_distance,
-    nn::Device* device, const ExprPtr& residual, JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectPatches(right));
-  return AllPairsSimilarityJoin(std::move(lhs), std::move(rhs), max_distance,
-                                device, residual, stats);
-}
-
-Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
-    BatchIterator* left, BatchIterator* right, float max_distance,
-    nn::Device* device, const ExprPtr& residual, JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
-  return AllPairsSimilarityJoin(std::move(lhs), std::move(rhs), max_distance,
-                                device, residual, stats);
-}
-
 // --- R-tree spatial ---------------------------------------------------------
 
 Result<std::vector<PatchTuple>> RTreeSpatialJoin(const PatchCollection& lhs,
@@ -716,24 +642,6 @@ Result<std::vector<PatchTuple>> RTreeSpatialJoin(const PatchCollection& lhs,
     stats->index_build_millis = build_ms;
   }
   return out;
-}
-
-Result<std::vector<PatchTuple>> RTreeSpatialJoin(PatchIterator* left,
-                                                 PatchIterator* right,
-                                                 const ExprPtr& residual,
-                                                 JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectPatches(right));
-  return RTreeSpatialJoin(std::move(lhs), std::move(rhs), residual, stats);
-}
-
-Result<std::vector<PatchTuple>> RTreeSpatialJoin(BatchIterator* left,
-                                                 BatchIterator* right,
-                                                 const ExprPtr& residual,
-                                                 JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
-  return RTreeSpatialJoin(std::move(lhs), std::move(rhs), residual, stats);
 }
 
 }  // namespace deeplens

@@ -7,8 +7,6 @@
 #include <memory>
 #include <string>
 
-#include "exec/batch.h"
-#include "exec/operators.h"
 #include "exec/pipeline.h"
 #include "index/balltree.h"
 #include "index/hash_index.h"
@@ -43,11 +41,8 @@ struct JoinStats {
   double max_partition_skew = 0.0;
 };
 
-// Every join materializes both sides, so each comes in three flavours
-// sharing one batch-at-a-time core: tuple-iterator sources (legacy API),
-// batch-iterator sources, and pre-materialized collections. Pair
-// predicates/residuals are evaluated through CompiledPredicate, batch-wise
-// where the join examines pairs in bulk.
+// Every join takes both inputs as materialized collections; pair
+// predicates/residuals are evaluated batch-wise through CompiledPredicate.
 //
 // The probe phases are morsel-parallel (exec/pipeline.h): any index is
 // built once, single-threaded, then probe morsels run on pool workers with
@@ -58,15 +53,7 @@ struct JoinStats {
 
 /// \brief Nested-loop θ-join: every pair is tested against `predicate`.
 /// The baseline all plans are compared to (Figure 4's "no index" bars).
-/// Materializes both sides; outer-loop morsels run in parallel.
-Result<std::vector<PatchTuple>> NestedLoopJoin(PatchIterator* left,
-                                               PatchIterator* right,
-                                               const ExprPtr& predicate,
-                                               JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> NestedLoopJoin(BatchIterator* left,
-                                               BatchIterator* right,
-                                               const ExprPtr& predicate,
-                                               JoinStats* stats = nullptr);
+/// Outer-loop morsels run in parallel.
 Result<std::vector<PatchTuple>> NestedLoopJoin(
     const PatchCollection& left, const PatchCollection& right,
     const ExprPtr& predicate,
@@ -101,12 +88,6 @@ Result<std::vector<PatchTuple>> NestedLoopJoin(
 /// matches in right input order — so results are byte-identical across
 /// cores, worker counts and partition counts.
 Result<std::vector<PatchTuple>> HashEqualityJoin(
-    PatchIterator* left, PatchIterator* right, const std::string& key,
-    const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> HashEqualityJoin(
-    BatchIterator* left, BatchIterator* right, const std::string& key,
-    const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> HashEqualityJoin(
     const PatchCollection& left, const PatchCollection& right,
     const std::string& key,
     const ExprPtr& residual = nullptr, JoinStats* stats = nullptr,
@@ -124,14 +105,6 @@ struct SimilarityJoinOptions {
   bool skip_identical_ids = true;
 };
 Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
-    PatchIterator* left, PatchIterator* right,
-    const SimilarityJoinOptions& options, const ExprPtr& residual = nullptr,
-    JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
-    BatchIterator* left, BatchIterator* right,
-    const SimilarityJoinOptions& options, const ExprPtr& residual = nullptr,
-    JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
     const PatchCollection& left, const PatchCollection& right,
     const SimilarityJoinOptions& options, const ExprPtr& residual = nullptr,
     JoinStats* stats = nullptr, const MorselOptions& morsels = {});
@@ -139,14 +112,6 @@ Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
 /// \brief All-pairs similarity join on a Device: computes the full
 /// pairwise distance matrix with the device's matching kernel (the GPU /
 /// AVX comparison of §7.4.2), then filters by threshold.
-Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
-    PatchIterator* left, PatchIterator* right, float max_distance,
-    nn::Device* device, const ExprPtr& residual = nullptr,
-    JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
-    BatchIterator* left, BatchIterator* right, float max_distance,
-    nn::Device* device, const ExprPtr& residual = nullptr,
-    JoinStats* stats = nullptr);
 Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
     const PatchCollection& left, const PatchCollection& right,
     float max_distance,
@@ -156,12 +121,6 @@ Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
 /// \brief R-Tree spatial join: emits pairs whose bounding boxes intersect
 /// (containment/intersection queries of §3.2). Builds the R-Tree over the
 /// right side.
-Result<std::vector<PatchTuple>> RTreeSpatialJoin(
-    PatchIterator* left, PatchIterator* right,
-    const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> RTreeSpatialJoin(
-    BatchIterator* left, BatchIterator* right,
-    const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);
 Result<std::vector<PatchTuple>> RTreeSpatialJoin(
     const PatchCollection& left, const PatchCollection& right,
     const ExprPtr& residual = nullptr, JoinStats* stats = nullptr,

@@ -13,6 +13,7 @@
 #include "cache/cache_config.h"
 #include "cache/frequency_sketch.h"
 #include "cache/inference_cache.h"
+#include "cache/inflight.h"
 #include "cache/segment_cache.h"
 #include "cache/sharded_lru.h"
 #include "common/env.h"
@@ -72,6 +73,24 @@ TEST(ShardedLruCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.Get("b"), nullptr);
   EXPECT_NE(cache.Get("c"), nullptr);
   EXPECT_EQ(cache.Stats().evictions, 1u);
+}
+
+TEST(ShardedLruCacheTest, PeekIsNotAnAccess) {
+  // EvictsLeastRecentlyUsed's geometry, but "a" is only peeked: it stays
+  // the LRU entry and the counters do not move.
+  StringCache cache(210, 1, CacheAdmission::kLru);
+  PutStr(&cache, "a", "va", 36);
+  PutStr(&cache, "b", "vb", 36);
+  auto peeked = cache.Peek("a");
+  ASSERT_NE(peeked, nullptr);
+  EXPECT_EQ(*peeked, "va");
+  EXPECT_EQ(cache.Peek("missing"), nullptr);
+  EXPECT_EQ(cache.Stats().hits, 0u);
+  EXPECT_EQ(cache.Stats().misses, 0u);
+  PutStr(&cache, "c", "vc", 36);  // evicts a, still the LRU entry
+  EXPECT_EQ(cache.Peek("a"), nullptr);
+  EXPECT_FALSE(cache.Contains("a"));
+  EXPECT_TRUE(cache.Contains("b"));
 }
 
 // --- TinyLFU admission ---------------------------------------------------
@@ -513,6 +532,45 @@ TEST(InferenceCacheTest, KeysSeparateModelsFingerprintsAndVariants) {
   EXPECT_EQ(keys.size(), 5u);
 }
 
+// --- Singleflight ----------------------------------------------------------
+
+// The check-then-act window: a caller misses the cache, a leader then Puts
+// and retires its flight, and only then does the caller reach Do. Do's
+// probe of the cache must answer it rather than start a second flight.
+TEST(InflightTableTest, RetiredFlightAnswersLateCallerFromCache) {
+  InferenceCache cache(1 << 20, 2);
+  InflightTable table;
+  const std::string key = InferenceCache::KeyFor("ocr", 7);
+  int runs = 0;
+  const auto compute = [&]() -> Result<InferenceValue> {
+    ++runs;
+    InferenceValue value{std::string("42")};
+    cache.Put(key, value);
+    return value;
+  };
+  ASSERT_EQ(cache.Get(key), nullptr);  // the late caller's miss
+  auto led = table.Do(key, &cache, compute);
+  ASSERT_TRUE(led.ok());
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(table.Stats().leaders, 1u);
+
+  const CacheStats before = cache.Stats();
+  auto late = table.Do(key, &cache, compute);
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(std::get<std::string>((*late)->payload), "42");
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(table.Stats().leaders, 1u);
+  EXPECT_EQ(table.Stats().joined, 1u);
+  // The probe is not a cache access.
+  EXPECT_EQ(cache.Stats().hits, before.hits);
+  EXPECT_EQ(cache.Stats().misses, before.misses);
+
+  // With no cache to probe, a retired key leads a fresh flight.
+  ASSERT_TRUE(table.Do(key, nullptr, compute).ok());
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(table.Stats().leaders, 2u);
+}
+
 // --- Video decode caching ------------------------------------------------
 
 std::vector<Image> SyntheticFrames(int n, int w, int h) {
@@ -871,6 +929,30 @@ TEST_F(UdfDifferentialTest, EtlRerunIsServedByCacheAndIdentical) {
 }
 
 // --- Eviction under contention (runs under TSan in CI) -------------------
+
+// A wrong-typed resident entry (an alien spill log's) is recomputed, not
+// returned by the singleflight probe as if a flight had published it.
+TEST(InflightTableTest, WrongTypedEntryIsRecomputedUnderSingleflight) {
+  InferenceCache cache(1 << 20, 2);
+  InflightTable table;
+  cache.set_inflight(&table);
+  nn::TinyOcr ocr;
+  nn::Device* device = nn::GetDevice(nn::DeviceKind::kCpuVector);
+  const uint64_t kFp = 42;
+  const std::string key = InferenceCache::KeyFor(
+      InferenceCache::ModelOnDevice(model_names::kOcr, device), kFp);
+  cache.Put(key, InferenceValue{3.5});  // a double under an OCR key
+  const Image panel = DigitPanel(7);
+  bool computed = false;
+  auto text = CachedOcrText(ocr, panel, kFp, device, &cache, &computed);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_TRUE(computed);
+  EXPECT_EQ(*text, ocr.RecognizeText(panel, device).value());
+  EXPECT_EQ(table.Stats().leaders, 1u);
+  auto hit = cache.Get(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(std::get<std::string>(hit->payload), *text);
+}
 
 TEST(CacheContentionTest, ConcurrentMixedWorkloadStaysConsistent) {
   // Budget small enough that the workload constantly evicts.

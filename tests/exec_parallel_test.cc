@@ -390,6 +390,70 @@ TEST(RadixHashJoinTest, RepeatedRunsAreDeterministic) {
   }
 }
 
+// --- Signed-zero keys ---------------------------------------------------------
+
+// -0.0 and 0.0 compare equal (MetaValue::Compare), so key-hashing operators
+// must treat them as one key, exactly as the expression-engine oracles do.
+PatchCollection SignedZeroRows() {
+  const MetaValue keys[] = {MetaValue(0.0),          MetaValue(-0.0),
+                            MetaValue(0.0),          MetaValue(-0.0),
+                            MetaValue(int64_t{0}),   MetaValue(2.0),
+                            MetaValue(int64_t{2}),   MetaValue(-3.5)};
+  PatchCollection rows;
+  for (const MetaValue& k : keys) {
+    Patch p;
+    p.set_id(static_cast<PatchId>(rows.size() + 1));
+    p.mutable_meta().Set("k", k);
+    rows.push_back(std::move(p));
+  }
+  return rows;
+}
+
+TEST(SignedZeroKeyTest, HashJoinMatchesNestedLoopOracle) {
+  const PatchCollection rows = SignedZeroRows();
+  auto expected = OracleJoin(rows, rows, Eq(Attr(0, "k"), Attr(1, "k")));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->size(), 5u * 5u + 2u * 2u + 1u);
+
+  MorselOptions serial;
+  serial.num_threads = 1;
+  for (const MorselOptions& options : {serial, MorselOptions{}}) {
+    auto shared_build =
+        HashEqualityJoin(rows, rows, "k", nullptr, nullptr, options);
+    ASSERT_TRUE(shared_build.ok()) << shared_build.status().ToString();
+    EXPECT_EQ(BytesOf(*shared_build), BytesOf(*expected))
+        << "threads " << options.num_threads;
+  }
+  EnvGuard guard("DEEPLENS_JOIN_PARTITIONS");
+  for (const char* parts : {"1", "4"}) {
+    guard.Set(parts);
+    auto radix = HashEqualityJoin(rows, rows, "k");
+    ASSERT_TRUE(radix.ok()) << radix.status().ToString();
+    EXPECT_EQ(BytesOf(*radix), BytesOf(*expected)) << "partitions " << parts;
+  }
+}
+
+TEST(SignedZeroKeyTest, DistinctCountMatchesCompareOracle) {
+  const PatchCollection rows = SignedZeroRows();
+  // Oracle: a value is new unless it compares equal to an earlier one.
+  uint64_t want = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) {
+      seen = rows[i].meta().Get("k").Compare(rows[j].meta().Get("k")) == 0;
+    }
+    if (!seen) ++want;
+  }
+  ASSERT_EQ(want, 3u);
+  MorselOptions serial;
+  serial.num_threads = 1;
+  for (const MorselOptions& options : {serial, MorselOptions{}}) {
+    auto got = ParallelCountDistinctKey(rows, "k", nullptr, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want) << "threads " << options.num_threads;
+  }
+}
+
 // --- Join-side residual pushdown ---------------------------------------------
 
 // Rows for the pushdown differential: join key "k" (few values, some NULL,

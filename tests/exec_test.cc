@@ -241,13 +241,12 @@ std::set<std::pair<PatchId, PatchId>> PairIds(
 }
 
 TEST(JoinTest, NestedLoopThetaJoin) {
-  auto left = MakeVectorSource(SampleCollection());
-  auto right = MakeVectorSource(SampleCollection());
+  auto collection = SampleCollection();
   // Same frame, different patches.
   ExprPtr pred = And(Eq(Attr(0, "frameno"), Attr(1, "frameno")),
                      Ne(Attr(0, "pid"), Attr(1, "pid")));
   JoinStats stats;
-  auto result = NestedLoopJoin(left.get(), right.get(), pred, &stats);
+  auto result = NestedLoopJoin(collection, collection, pred, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 4u);  // frames 0 and 2 each have 2 patches
   EXPECT_EQ(stats.pairs_examined, 25u);
@@ -256,22 +255,16 @@ TEST(JoinTest, NestedLoopThetaJoin) {
 TEST(JoinTest, HashJoinMatchesNestedLoop) {
   auto collection = SampleCollection();
   ExprPtr eq = Eq(Attr(0, "frameno"), Attr(1, "frameno"));
-  auto l1 = MakeVectorSource(collection);
-  auto r1 = MakeVectorSource(collection);
-  auto nl = NestedLoopJoin(l1.get(), r1.get(), eq);
+  auto nl = NestedLoopJoin(collection, collection, eq);
   ASSERT_TRUE(nl.ok());
-  auto l2 = MakeVectorSource(collection);
-  auto r2 = MakeVectorSource(collection);
-  auto hj = HashEqualityJoin(l2.get(), r2.get(), "frameno");
+  auto hj = HashEqualityJoin(collection, collection, "frameno");
   ASSERT_TRUE(hj.ok());
   EXPECT_EQ(PairIds(*nl), PairIds(*hj));
 }
 
 TEST(JoinTest, HashJoinResidualFilters) {
   auto collection = SampleCollection();
-  auto l = MakeVectorSource(collection);
-  auto r = MakeVectorSource(collection);
-  auto result = HashEqualityJoin(l.get(), r.get(), "frameno",
+  auto result = HashEqualityJoin(collection, collection, "frameno",
                                  Ne(Attr(0, "pid"), Attr(1, "pid")));
   ASSERT_TRUE(result.ok());
   for (const auto& t : *result) EXPECT_NE(t[0].id(), t[1].id());
@@ -283,19 +276,14 @@ TEST(JoinTest, BallTreeJoinMatchesNestedLoopSet) {
   const float threshold = 0.4f;
   ExprPtr pred = Le(FeatureDistance(0, 1),
                     Lit(static_cast<double>(threshold)));
-  auto l1 = MakeVectorSource(a);
-  auto r1 = MakeVectorSource(b);
-  auto nl = NestedLoopJoin(l1.get(), r1.get(), pred);
+  auto nl = NestedLoopJoin(a, b, pred);
   ASSERT_TRUE(nl.ok());
 
-  auto l2 = MakeVectorSource(a);
-  auto r2 = MakeVectorSource(b);
   SimilarityJoinOptions options;
   options.max_distance = threshold;
   options.skip_identical_ids = false;
   JoinStats stats;
-  auto bt = BallTreeSimilarityJoin(l2.get(), r2.get(), options, nullptr,
-                                   &stats);
+  auto bt = BallTreeSimilarityJoin(a, b, options, nullptr, &stats);
   ASSERT_TRUE(bt.ok());
   EXPECT_EQ(PairIds(*nl), PairIds(*bt));
   EXPECT_GT(stats.index_build_millis, 0.0);
@@ -306,12 +294,10 @@ TEST(JoinTest, BallTreeJoinIndexesSmallerSide) {
   // was indexed.
   auto small = FeatureCollection(5, 1);
   auto large = FeatureCollection(50, 2);
-  auto l = MakeVectorSource(large);
-  auto r = MakeVectorSource(small);
   SimilarityJoinOptions options;
   options.max_distance = 10.0f;  // everything matches
   options.skip_identical_ids = false;
-  auto result = BallTreeSimilarityJoin(l.get(), r.get(), options);
+  auto result = BallTreeSimilarityJoin(large, small, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 250u);
   for (const auto& t : *result) {
@@ -327,24 +313,18 @@ TEST(JoinTest, AllPairsMatchesBallTree) {
   SimilarityJoinOptions options;
   options.max_distance = 0.35f;
   options.skip_identical_ids = false;
-  auto l1 = MakeVectorSource(a);
-  auto r1 = MakeVectorSource(b);
-  auto bt = BallTreeSimilarityJoin(l1.get(), r1.get(), options);
+  auto bt = BallTreeSimilarityJoin(a, b, options);
   ASSERT_TRUE(bt.ok());
-  auto l2 = MakeVectorSource(a);
-  auto r2 = MakeVectorSource(b);
-  auto ap = AllPairsSimilarityJoin(
-      l2.get(), r2.get(), options.max_distance,
-      nn::GetDevice(nn::DeviceKind::kCpuVector));
+  auto ap = AllPairsSimilarityJoin(a, b, options.max_distance,
+                                   nn::GetDevice(nn::DeviceKind::kCpuVector));
   ASSERT_TRUE(ap.ok());
   EXPECT_EQ(PairIds(*bt), PairIds(*ap));
 }
 
 TEST(JoinTest, SimilarityJoinRequiresFeatures) {
-  auto l = MakeVectorSource(SampleCollection());
-  auto r = MakeVectorSource(SampleCollection());
+  auto collection = SampleCollection();
   SimilarityJoinOptions options;
-  auto result = BallTreeSimilarityJoin(l.get(), r.get(), options);
+  auto result = BallTreeSimilarityJoin(collection, collection, options);
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
@@ -359,9 +339,7 @@ TEST(JoinTest, RTreeSpatialJoinMatchesBruteForce) {
                         y + static_cast<int>(rng.NextInt(2, 15))});
     (i % 2 == 0 ? a : b).push_back(p);
   }
-  auto l = MakeVectorSource(a);
-  auto r = MakeVectorSource(b);
-  auto joined = RTreeSpatialJoin(l.get(), r.get());
+  auto joined = RTreeSpatialJoin(a, b);
   ASSERT_TRUE(joined.ok());
   std::set<std::pair<PatchId, PatchId>> want;
   for (const Patch& pa : a) {
@@ -383,38 +361,59 @@ TEST(JoinTest, RTreeSpatialJoinMatchesBruteForce) {
 // --- Aggregates --------------------------------------------------------------
 
 TEST(AggregateTest, CountsAndDistinct) {
-  auto s1 = MakeVectorSource(SampleCollection());
-  EXPECT_EQ(CountAll(s1.get()).value(), 5u);
-  auto s2 = MakeVectorSource(SampleCollection());
-  EXPECT_EQ(CountDistinctKey(s2.get(), "frameno").value(), 3u);
-  auto s3 = MakeVectorSource(SampleCollection());
-  EXPECT_EQ(CountDistinctKey(s3.get(), "label").value(), 2u);
+  auto collection = SampleCollection();
+  EXPECT_EQ(ParallelCount(collection).value(), 5u);
+  EXPECT_EQ(ParallelCountDistinctKey(collection, "frameno").value(), 3u);
+  EXPECT_EQ(ParallelCountDistinctKey(collection, "label").value(), 2u);
 }
 
 TEST(AggregateTest, GroupByCount) {
-  auto s = MakeVectorSource(SampleCollection());
-  auto groups = GroupByCount(s.get(), "label");
+  auto groups = ParallelGroupByCount(SampleCollection(), "label");
   ASSERT_TRUE(groups.ok());
   EXPECT_EQ((*groups)["'car'"], 3u);
   EXPECT_EQ((*groups)["'person'"], 2u);
 }
 
 TEST(AggregateTest, GroupByMin) {
-  auto s = MakeVectorSource(SampleCollection());
-  auto mins = GroupByMin(s.get(), "label", "score");
+  auto mins = ParallelGroupByNumeric(SampleCollection(), "label", "score",
+                                     NumericAgg::kMin);
   ASSERT_TRUE(mins.ok());
   EXPECT_DOUBLE_EQ((*mins)["'car'"], 0.7);
   EXPECT_DOUBLE_EQ((*mins)["'person'"], 0.4);
 }
 
 TEST(AggregateTest, SortByKey) {
-  auto s = MakeVectorSource(
-      {MakePatch(1, 9, "a"), MakePatch(2, 3, "b"), MakePatch(3, 5, "c")});
-  auto sorted = SortByKey(s.get(), "frameno");
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ((*sorted)[0][0].id(), 2u);
-  EXPECT_EQ((*sorted)[1][0].id(), 3u);
-  EXPECT_EQ((*sorted)[2][0].id(), 1u);
+  auto sorted = SortByKey({{MakePatch(1, 9, "a")},
+                           {MakePatch(2, 3, "b")},
+                           {MakePatch(3, 5, "c")}},
+                          "frameno");
+  ASSERT_EQ(sorted.size(), 3u);
+  EXPECT_EQ(sorted[0][0].id(), 2u);
+  EXPECT_EQ(sorted[1][0].id(), 3u);
+  EXPECT_EQ(sorted[2][0].id(), 1u);
+}
+
+TEST(AggregateTest, SortByKeyOrdersJoinOutputByLeftPatch) {
+  auto collection = SampleCollection();
+  auto joined = HashEqualityJoin(collection, collection, "frameno");
+  ASSERT_TRUE(joined.ok());
+  // An empty tuple sorts first wherever it starts.
+  std::vector<PatchTuple> tuples = *joined;
+  tuples.push_back(PatchTuple{});
+  auto sorted = SortByKey(std::move(tuples), "score");
+  // Ascending by the left patch's score (4: 0.4, 3: 0.7, 2: 0.8, 1: 0.9,
+  // 5: 0.95); ties keep the join's right-input order (stable sort).
+  const std::vector<std::pair<PatchId, PatchId>> want{
+      {4, 4}, {4, 5}, {3, 3}, {2, 1}, {2, 2},
+      {1, 1}, {1, 2}, {5, 4}, {5, 5}};
+  ASSERT_EQ(sorted.size(), want.size() + 1);
+  EXPECT_TRUE(sorted.front().empty());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(sorted[i + 1].size(), 2u);
+    EXPECT_EQ(std::make_pair(sorted[i + 1][0].id(), sorted[i + 1][1].id()),
+              want[i])
+        << "position " << i;
+  }
 }
 
 class DedupStrategies
@@ -439,8 +438,7 @@ TEST_P(DedupStrategies, ClustersPlantedIdentities) {
   DedupOptions options;
   options.max_distance = 1.0f;
   options.strategy = GetParam();
-  auto source = MakeVectorSource(patches);
-  auto result = SimilarityDedup(source.get(), options);
+  auto result = SimilarityDedup(patches, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_clusters, 3u);
   EXPECT_EQ(result->representatives.size(), 3u);
@@ -460,15 +458,13 @@ INSTANTIATE_TEST_SUITE_P(Strategies, DedupStrategies,
                              DedupOptions::Strategy::kAllPairs));
 
 TEST(DedupTest, EmptyInput) {
-  auto source = MakeVectorSource(PatchCollection{});
-  auto result = SimilarityDedup(source.get(), DedupOptions{});
+  auto result = SimilarityDedup(PatchCollection{}, DedupOptions{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_clusters, 0u);
 }
 
 TEST(DedupTest, RequiresFeatures) {
-  auto source = MakeVectorSource(SampleCollection());
-  EXPECT_TRUE(SimilarityDedup(source.get(), DedupOptions{})
+  EXPECT_TRUE(SimilarityDedup(SampleCollection(), DedupOptions{})
                   .status()
                   .IsInvalidArgument());
 }

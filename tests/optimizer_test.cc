@@ -419,24 +419,27 @@ TEST_F(OptimizerTest, SelectivityObservationsSharpenEstimates) {
 
 // 200 frames with 1-6 rows each; every fifth frame also has a row at
 // frameno f + 0.5 (float keys interleave with int keys), and every
-// seventh frame a row with no frameno at all.
-ViewCache FrameView(bool hash_index) {
+// seventh frame a row with no frameno at all. `extra` framenos come first,
+// as rows of frame 0. Row order equals index key order as long as no
+// `extra` key sorts above 0; a B+tree range returns rows in key order.
+ViewCache FrameView(bool hash_index, const std::vector<MetaValue>& extra = {}) {
   ViewCache view;
   PatchId id = 1;
+  auto add = [&](int64_t f, MetaValue frameno) {
+    Patch p;
+    p.set_id(id++);
+    p.set_ref(ImgRef{"frames", f, kInvalidPatchId});
+    if (!frameno.is_null()) {
+      p.mutable_meta().Set(meta_keys::kFrameNo, std::move(frameno));
+    }
+    p.mutable_meta().Set("bucket", f % 4);
+    view.patches.push_back(std::move(p));
+  };
+  for (const MetaValue& frameno : extra) add(0, frameno);
   for (int64_t f = 0; f < 200; ++f) {
-    auto add = [&](MetaValue frameno) {
-      Patch p;
-      p.set_id(id++);
-      p.set_ref(ImgRef{"frames", f, kInvalidPatchId});
-      if (!frameno.is_null()) {
-        p.mutable_meta().Set(meta_keys::kFrameNo, std::move(frameno));
-      }
-      p.mutable_meta().Set("bucket", f % 4);
-      view.patches.push_back(std::move(p));
-    };
-    for (int64_t r = 0; r <= f % 6; ++r) add(MetaValue(f));
-    if (f % 5 == 0) add(MetaValue(static_cast<double>(f) + 0.5));
-    if (f % 7 == 0) add(MetaValue());
+    for (int64_t r = 0; r <= f % 6; ++r) add(f, MetaValue(f));
+    if (f % 5 == 0) add(f, MetaValue(static_cast<double>(f) + 0.5));
+    if (f % 7 == 0) add(f, MetaValue());
   }
   auto fill = [&](auto* index) {
     for (size_t i = 0; i < view.patches.size(); ++i) {
@@ -575,6 +578,44 @@ TEST_F(OptimizerTest, NaNLiteralNeverNarrowsAnIndexProbe) {
   EXPECT_EQ(plan.candidates,
             (view.patches.size() - numeric) +
                 RowsInClosedRange(view, MetaValue(-1e9), MetaValue(30)));
+}
+
+TEST_F(OptimizerTest, SignedZeroKeysProbeLikeTheOracle) {
+  // -0.0 == 0.0 under Compare, so an index probe for 0 must find the -0.0
+  // rows beside the float 0.0 and frame 0's int 0, in row order.
+  const std::vector<MetaValue> zeros = {MetaValue(-0.0), MetaValue(0.0),
+                                        MetaValue(-0.0)};
+  for (bool hash : {false, true}) {
+    const ViewCache view = FrameView(hash, zeros);
+    struct Case {
+      ExprPtr pred;
+      AccessPath path;  // on this view's index
+    };
+    const std::vector<Case> cases = {
+        {Eq(Frame(), Lit(0)),
+         hash ? AccessPath::kHashLookup : AccessPath::kBTreeLookup},
+        {Eq(Frame(), Lit(-0.0)),
+         hash ? AccessPath::kHashLookup : AccessPath::kBTreeLookup},
+        {Ge(Frame(), Lit(0)),
+         hash ? AccessPath::kFullScan : AccessPath::kBTreeRange},
+        {And(Ge(Frame(), Lit(-0.0)), Le(Frame(), Lit(0.0))),
+         hash ? AccessPath::kFullScan : AccessPath::kBTreeRange},
+    };
+    for (const Case& c : cases) {
+      const PatchCollection oracle = SerialOracle(view, c.pred);
+      PlanExplanation plan;
+      auto rows = Planner::ExecuteScan(view, c.pred, &plan);
+      ASSERT_TRUE(rows.ok()) << c.pred->ToString();
+      EXPECT_EQ(SerializeAll(*rows), SerializeAll(oracle))
+          << (hash ? "hash: " : "b+tree: ") << c.pred->ToString();
+      EXPECT_EQ(plan.path, c.path) << plan.description;
+      auto count = Planner::ExecuteScanCount(view, c.pred, nullptr);
+      ASSERT_TRUE(count.ok());
+      EXPECT_EQ(*count, oracle.size()) << c.pred->ToString();
+    }
+    // The three extra zeros plus frame 0's int 0.
+    EXPECT_EQ(SerialOracle(view, Eq(Frame(), Lit(0))).size(), 4u);
+  }
 }
 
 }  // namespace
