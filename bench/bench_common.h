@@ -41,7 +41,7 @@ inline int BenchScale() {
 inline void PrintHeader(const char* title, const char* paper_ref) {
   std::printf("\n=== %s ===\n", title);
   std::printf("(reproduces %s; shapes comparable, absolute numbers are\n"
-              " machine/simulator dependent — see EXPERIMENTS.md)\n\n",
+              " machine/simulator dependent)\n\n",
               paper_ref);
 }
 

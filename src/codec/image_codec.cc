@@ -6,6 +6,7 @@
 
 #include "codec/dct.h"
 #include "codec/entropy.h"
+#include "exec/scheduler.h"
 
 namespace deeplens {
 namespace codec {
@@ -15,22 +16,29 @@ namespace {
 constexpr uint16_t kLjpgMagic = 0xD11E;
 constexpr uint16_t kRawMagic = 0xD1AA;
 
-// Extracts one 8×8 block of channel `c` starting at (bx*8, by*8), centered
-// to [-128, 127]; out-of-bounds pixels replicate the edge.
-void ExtractBlock(const Image& img, int c, int bx, int by, float* block) {
+// Loads one 8×8 block of channel `c` starting at (bx*8, by*8); out-of-
+// bounds pixels replicate the edge. Intra blocks (`pred` null) are
+// centered to [-128, 127]; predicted blocks hold the signed residual
+// img - pred.
+void ExtractBlock(const Image& img, const Image* pred, int c, int bx, int by,
+                  float* block) {
   const int w = img.width();
   const int h = img.height();
   for (int y = 0; y < kBlockSize; ++y) {
     const int sy = std::min(by * kBlockSize + y, h - 1);
     for (int x = 0; x < kBlockSize; ++x) {
       const int sx = std::min(bx * kBlockSize + x, w - 1);
-      block[y * kBlockSize + x] =
-          static_cast<float>(img.At(sx, sy, c)) - 128.0f;
+      const float base =
+          pred != nullptr ? static_cast<float>(pred->At(sx, sy, c)) : 128.0f;
+      block[y * kBlockSize + x] = static_cast<float>(img.At(sx, sy, c)) - base;
     }
   }
 }
 
-void StoreBlock(Image* img, int c, int bx, int by, const float* block) {
+// Inverse of ExtractBlock: adds the block back onto its base (128, or
+// `pred`) and stores the in-bounds pixels, clamped to [0, 255].
+void StoreBlock(Image* img, const Image* pred, int c, int bx, int by,
+                const float* block) {
   const int w = img->width();
   const int h = img->height();
   for (int y = 0; y < kBlockSize; ++y) {
@@ -39,41 +47,9 @@ void StoreBlock(Image* img, int c, int bx, int by, const float* block) {
     for (int x = 0; x < kBlockSize; ++x) {
       const int dx = bx * kBlockSize + x;
       if (dx >= w) break;
-      const float v = block[y * kBlockSize + x] + 128.0f;
-      img->At(dx, dy, c) =
-          static_cast<uint8_t>(std::clamp(v, 0.0f, 255.0f));
-    }
-  }
-}
-
-// Residual variants work on signed differences (no 128 centering).
-void ExtractResidualBlock(const Image& img, const Image& pred, int c, int bx,
-                          int by, float* block) {
-  const int w = img.width();
-  const int h = img.height();
-  for (int y = 0; y < kBlockSize; ++y) {
-    const int sy = std::min(by * kBlockSize + y, h - 1);
-    for (int x = 0; x < kBlockSize; ++x) {
-      const int sx = std::min(bx * kBlockSize + x, w - 1);
-      block[y * kBlockSize + x] =
-          static_cast<float>(img.At(sx, sy, c)) -
-          static_cast<float>(pred.At(sx, sy, c));
-    }
-  }
-}
-
-void StoreResidualBlock(Image* img, const Image& pred, int c, int bx, int by,
-                        const float* block) {
-  const int w = img->width();
-  const int h = img->height();
-  for (int y = 0; y < kBlockSize; ++y) {
-    const int dy = by * kBlockSize + y;
-    if (dy >= h) break;
-    for (int x = 0; x < kBlockSize; ++x) {
-      const int dx = bx * kBlockSize + x;
-      if (dx >= w) break;
-      const float v =
-          block[y * kBlockSize + x] + static_cast<float>(pred.At(dx, dy, c));
+      const float base =
+          pred != nullptr ? static_cast<float>(pred->At(dx, dy, c)) : 128.0f;
+      const float v = block[y * kBlockSize + x] + base;
       img->At(dx, dy, c) =
           static_cast<uint8_t>(std::clamp(v, 0.0f, 255.0f));
     }
@@ -86,26 +62,44 @@ int BlocksAlong(int extent) {
 
 }  // namespace
 
-void EncodePlanesInto(const Image& img, Quality q, ByteBuffer* out) {
+void EncodeBlocksInto(const Image& img, const Image* pred, Quality q,
+                      ByteBuffer* out, Image* reconstructed) {
   const int bw = BlocksAlong(img.width());
   const int bh = BlocksAlong(img.height());
-  float block[kBlockArea];
-  float coeffs[kBlockArea];
-  int32_t qcoeffs[kBlockArea];
-  for (int c = 0; c < img.channels(); ++c) {
-    for (int by = 0; by < bh; ++by) {
-      for (int bx = 0; bx < bw; ++bx) {
-        ExtractBlock(img, c, bx, by, block);
-        ForwardDct8x8(block, coeffs);
-        QuantizeBlock(coeffs, q, qcoeffs);
-        EncodeBlock(qcoeffs, out);
+  if (reconstructed != nullptr) {
+    *reconstructed = Image(img.width(), img.height(), img.channels());
+  }
+  // Blocks are coded independently (no DC prediction across blocks), so
+  // each (channel, block-row) task owns its slice of the stream and of
+  // the reconstruction.
+  std::vector<ByteBuffer> rows(static_cast<size_t>(img.channels()) *
+                               static_cast<size_t>(bh));
+  RunTasks(rows.size(), [&](size_t task) {
+    const int c = static_cast<int>(task / static_cast<size_t>(bh));
+    const int by = static_cast<int>(task % static_cast<size_t>(bh));
+    float block[kBlockArea];
+    float coeffs[kBlockArea];
+    int32_t qcoeffs[kBlockArea];
+    for (int bx = 0; bx < bw; ++bx) {
+      ExtractBlock(img, pred, c, bx, by, block);
+      ForwardDct8x8(block, coeffs);
+      QuantizeBlock(coeffs, q, qcoeffs);
+      EncodeBlock(qcoeffs, &rows[task]);
+      if (reconstructed != nullptr) {
+        // The decoder rebuilds from these same coefficients.
+        DequantizeBlock(qcoeffs, q, coeffs);
+        InverseDct8x8(coeffs, block);
+        StoreBlock(reconstructed, pred, c, bx, by, block);
       }
     }
+  });
+  for (const ByteBuffer& row : rows) {
+    out->PutBytes(row.data().data(), row.size());
   }
 }
 
-Result<Image> DecodePlanes(ByteReader* reader, int width, int height,
-                           int channels, Quality q) {
+Result<Image> DecodeBlocks(ByteReader* reader, const Image* pred, int width,
+                           int height, int channels, Quality q) {
   Image img(width, height, channels);
   const int bw = BlocksAlong(width);
   const int bh = BlocksAlong(height);
@@ -118,7 +112,7 @@ Result<Image> DecodePlanes(ByteReader* reader, int width, int height,
         DL_RETURN_NOT_OK(DecodeBlock(reader, qcoeffs));
         DequantizeBlock(qcoeffs, q, coeffs);
         InverseDct8x8(coeffs, block);
-        StoreBlock(&img, c, bx, by, block);
+        StoreBlock(&img, pred, c, bx, by, block);
       }
     }
   }
@@ -132,7 +126,7 @@ std::vector<uint8_t> EncodeImage(const Image& img, Quality q) {
   out.PutU32(static_cast<uint32_t>(img.height()));
   out.PutU8(static_cast<uint8_t>(img.channels()));
   out.PutU8(static_cast<uint8_t>(q));
-  EncodePlanesInto(img, q, &out);
+  EncodeBlocksInto(img, /*pred=*/nullptr, q, &out);
   return out.Release();
 }
 
@@ -167,8 +161,9 @@ Result<Image> DecodeImage(const Slice& bytes) {
   if (min_blocks > reader.remaining()) {
     return Status::Corruption("LJPG stream shorter than its block count");
   }
-  return DecodePlanes(&reader, static_cast<int>(w), static_cast<int>(h),
-                      static_cast<int>(c), static_cast<Quality>(q));
+  return DecodeBlocks(&reader, /*pred=*/nullptr, static_cast<int>(w),
+                      static_cast<int>(h), static_cast<int>(c),
+                      static_cast<Quality>(q));
 }
 
 std::vector<uint8_t> SerializeRawImage(const Image& img) {
@@ -201,46 +196,6 @@ Result<Image> DeserializeRawImage(const Slice& bytes) {
   Image img(static_cast<int>(w), static_cast<int>(h), static_cast<int>(c));
   DL_ASSIGN_OR_RETURN(Slice pixels, reader.GetBytes(img.size_bytes()));
   std::memcpy(img.data(), pixels.data(), img.size_bytes());
-  return img;
-}
-
-void EncodeResidualInto(const Image& img, const Image& pred, Quality q,
-                        ByteBuffer* out) {
-  const int bw = BlocksAlong(img.width());
-  const int bh = BlocksAlong(img.height());
-  float block[kBlockArea];
-  float coeffs[kBlockArea];
-  int32_t qcoeffs[kBlockArea];
-  for (int c = 0; c < img.channels(); ++c) {
-    for (int by = 0; by < bh; ++by) {
-      for (int bx = 0; bx < bw; ++bx) {
-        ExtractResidualBlock(img, pred, c, bx, by, block);
-        ForwardDct8x8(block, coeffs);
-        QuantizeBlock(coeffs, q, qcoeffs);
-        EncodeBlock(qcoeffs, out);
-      }
-    }
-  }
-}
-
-Result<Image> DecodeResidualOnto(ByteReader* reader, const Image& pred,
-                                 Quality q) {
-  Image img(pred.width(), pred.height(), pred.channels());
-  const int bw = BlocksAlong(pred.width());
-  const int bh = BlocksAlong(pred.height());
-  int32_t qcoeffs[kBlockArea];
-  float coeffs[kBlockArea];
-  float block[kBlockArea];
-  for (int c = 0; c < pred.channels(); ++c) {
-    for (int by = 0; by < bh; ++by) {
-      for (int bx = 0; bx < bw; ++bx) {
-        DL_RETURN_NOT_OK(DecodeBlock(reader, qcoeffs));
-        DequantizeBlock(qcoeffs, q, coeffs);
-        InverseDct8x8(coeffs, block);
-        StoreResidualBlock(&img, pred, c, bx, by, block);
-      }
-    }
-  }
   return img;
 }
 

@@ -25,21 +25,24 @@ Result<Image> DecodeImage(const Slice& bytes);
 std::vector<uint8_t> SerializeRawImage(const Image& img);
 Result<Image> DeserializeRawImage(const Slice& bytes);
 
-/// Encodes the *residual* between `img` and `pred` (P-frame block path used
-/// by the video codec). Residuals are signed; the DCT operates on the
-/// signed difference directly.
-void EncodeResidualInto(const Image& img, const Image& pred, Quality q,
-                        ByteBuffer* out);
+/// Codes `img`'s 8×8 blocks (no header) into `out`. With `pred` null the
+/// blocks are intra-coded (I-frames, EncodeImage); otherwise the signed
+/// residual against `pred`, which must share `img`'s dimensions, is coded
+/// (P-frames). The blocks are coded in (channel, block-row) tasks on the
+/// morsel pool, each into its own buffer, and the buffers are appended in
+/// task order, so the bytes equal a serial raster-order encode. When
+/// `reconstructed` is non-null it receives the frame DecodeBlocks will
+/// rebuild from these bytes, computed from the quantized coefficients
+/// without entropy-decoding them back. `reconstructed` must not alias
+/// `img` or `pred`.
+void EncodeBlocksInto(const Image& img, const Image* pred, Quality q,
+                      ByteBuffer* out, Image* reconstructed = nullptr);
 
-/// Applies a residual stream on top of `pred`, producing the reconstructed
-/// image. `pred`'s dimensions determine the output.
-Result<Image> DecodeResidualOnto(ByteReader* reader, const Image& pred,
-                                 Quality q);
-
-/// Encodes image planes (no header) into `out`; used by both paths.
-void EncodePlanesInto(const Image& img, Quality q, ByteBuffer* out);
-Result<Image> DecodePlanes(ByteReader* reader, int width, int height,
-                           int channels, Quality q);
+/// Decodes what EncodeBlocksInto wrote for a (width × height × channels)
+/// frame: intra blocks when `pred` is null, else residuals applied on top
+/// of `pred`.
+Result<Image> DecodeBlocks(ByteReader* reader, const Image* pred, int width,
+                           int height, int channels, Quality q);
 
 /// Plausibility bounds on decoded image headers. The header fields come
 /// from untrusted bytes (spill logs, fuzzed streams); the decoder must

@@ -32,25 +32,13 @@ Status VideoEncoder::AddFrame(const Image& frame) {
   const bool intra =
       (num_frames_ % options_.gop_size == 0) || prev_reconstructed_.empty();
   ByteBuffer frame_buf;
-  if (intra) {
-    frame_buf.PutU8(kIFrame);
-    EncodePlanesInto(frame, options_.quality, &frame_buf);
-    // The decoder predicts P-frames from *reconstructed* pixels, so the
-    // encoder must track the same reconstruction to avoid drift.
-    ByteReader r(frame_buf.AsSlice());
-    (void)r.GetU8();
-    auto rec = DecodePlanes(&r, width_, height_, channels_, options_.quality);
-    prev_reconstructed_ = std::move(rec).value();
-  } else {
-    frame_buf.PutU8(kPFrame);
-    EncodeResidualInto(frame, prev_reconstructed_, options_.quality,
-                       &frame_buf);
-    ByteReader r(frame_buf.AsSlice());
-    (void)r.GetU8();
-    auto rec =
-        DecodeResidualOnto(&r, prev_reconstructed_, options_.quality);
-    prev_reconstructed_ = std::move(rec).value();
-  }
+  frame_buf.PutU8(intra ? kIFrame : kPFrame);
+  // The decoder predicts P-frames from *reconstructed* pixels, so the
+  // encoder tracks the same reconstruction to avoid drift.
+  Image reconstructed;
+  EncodeBlocksInto(frame, intra ? nullptr : &prev_reconstructed_,
+                   options_.quality, &frame_buf, &reconstructed);
+  prev_reconstructed_ = std::move(reconstructed);
   body_.PutVarint(frame_buf.size());
   body_.PutBytes(frame_buf.data().data(), frame_buf.size());
   ++num_frames_;
@@ -112,25 +100,18 @@ Result<Image> VideoDecoder::NextFrame() {
   DL_ASSIGN_OR_RETURN(Slice frame_bytes, reader_.GetLengthPrefixed());
   ByteReader fr(frame_bytes);
   DL_ASSIGN_OR_RETURN(uint8_t kind, fr.GetU8());
-  if (kind == kIFrame) {
-    DL_ASSIGN_OR_RETURN(
-        Image img,
-        DecodePlanes(&fr, width_, height_, channels_, options_.quality));
-    prev_ = img;
-    ++next_frame_;
-    return img;
+  if (kind != kIFrame && kind != kPFrame) {
+    return Status::Corruption("unknown frame kind");
   }
-  if (kind == kPFrame) {
-    if (prev_.empty()) {
-      return Status::Corruption("P-frame with no reference frame");
-    }
-    DL_ASSIGN_OR_RETURN(Image img,
-                        DecodeResidualOnto(&fr, prev_, options_.quality));
-    prev_ = img;
-    ++next_frame_;
-    return img;
+  if (kind == kPFrame && prev_.empty()) {
+    return Status::Corruption("P-frame with no reference frame");
   }
-  return Status::Corruption("unknown frame kind");
+  DL_ASSIGN_OR_RETURN(
+      Image img, DecodeBlocks(&fr, kind == kPFrame ? &prev_ : nullptr, width_,
+                              height_, channels_, options_.quality));
+  prev_ = img;
+  ++next_frame_;
+  return img;
 }
 
 Result<Image> VideoDecoder::SeekDecode(int target) {

@@ -41,7 +41,9 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   const size_t n = end - begin;
   const size_t max_chunks = (n + grain - 1) / grain;
   const size_t num_chunks = std::min(max_chunks, num_threads() * 4);
-  if (num_chunks <= 1) {
+  // Inside a worker the loop runs serially: if every worker submitted and
+  // waited here at once, no worker would be left to run the chunks.
+  if (num_chunks <= 1 || InWorker()) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }

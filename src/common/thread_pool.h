@@ -32,7 +32,8 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [begin, end), split into roughly equal chunks
   /// across the pool, and blocks until all complete. Grain controls the
-  /// minimum chunk size.
+  /// minimum chunk size. Called from a pool worker, it runs the loop
+  /// serially on that worker (see InWorker).
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn, size_t grain = 1);
 

@@ -89,11 +89,20 @@ void MorselScheduler::Run(size_t num_tasks,
   for (size_t i = 0; i < tickets; ++i) {
     ThreadPool::Global().Submit([this] { DrainLoop(); });
   }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    set.done_cv.wait(lock, [&] { return set.done == set.count; });
-    active_.erase(std::find(active_.begin(), active_.end(), &set));
+  // The caller drains its own set while it waits. Its thread would
+  // otherwise sit idle, and a set whose caller can finish it alone never
+  // waits on pool workers that are blocked on something the caller holds.
+  std::unique_lock<std::mutex> lock(mu_);
+  while (set.next < set.count) {
+    const size_t index = set.next++;
+    set.pass += set.stride;
+    lock.unlock();
+    task(index);
+    lock.lock();
+    ++set.done;
   }
+  set.done_cv.wait(lock, [&] { return set.done == set.count; });
+  active_.erase(std::find(active_.begin(), active_.end(), &set));
 }
 
 void MorselScheduler::DrainLoop() {
@@ -121,6 +130,15 @@ void MorselScheduler::DrainLoop() {
       // wakes, erases the set, returns) — not touched again below.
     }
   }
+}
+
+void RunTasks(size_t n, const std::function<void(size_t)>& fn) {
+  if (n > 1 && ThreadPool::Global().num_threads() > 1 &&
+      !ThreadPool::InWorker()) {
+    MorselScheduler::Global().Run(n, fn, ScopedSchedulingContext::Current());
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
 }
 
 SchedulerStats MorselScheduler::Stats() const {

@@ -1,5 +1,7 @@
-// Fair-share morsel scheduler: the serving layer between the morsel
-// driver (exec/pipeline.h DispatchMorsels) and ThreadPool::Global().
+// Fair-share morsel scheduler: the serving layer between the pool's
+// clients — the morsel driver (exec/pipeline.h DispatchMorsels) and the
+// RunTasks fan-out used by batched inference and frame encoding — and
+// ThreadPool::Global().
 //
 // One query's DispatchMorsels used to hand its whole morsel list to the
 // pool FIFO, so a long scan enqueued ahead of a short lookup starved it
@@ -74,7 +76,10 @@ struct SchedulerStats {
 /// advances by kStrideScale/weight per claimed task), runs it, and
 /// exits when nothing is claimable. Tickets are interchangeable across
 /// sets — a ticket submitted for one query happily drains another's
-/// tasks — which is what makes the scheduler work-conserving.
+/// tasks — which is what makes the scheduler work-conserving. The
+/// calling thread claims tasks of its own set too (advancing its pass
+/// like a ticket would), so every set can finish even when all pool
+/// workers are busy or blocked.
 ///
 /// Tasks must not block on other tasks (the morsel contract already
 /// forbids it: nested dispatch degrades to serial via
@@ -87,8 +92,8 @@ class MorselScheduler {
   static MorselScheduler& Global();
 
   /// Runs task(0..num_tasks-1) to completion under the given context.
-  /// Blocks the calling thread (which does not drain: pool workers do
-  /// the work, exactly like the pre-scheduler ParallelFor contract).
+  /// The calling thread runs unclaimed tasks of this set alongside the
+  /// pool workers, then blocks until the last running task returns.
   void Run(size_t num_tasks, const std::function<void(size_t)>& task,
            const SchedulingContext& ctx);
 
@@ -108,5 +113,16 @@ class MorselScheduler {
   uint64_t peak_active_ = 0;
   std::map<std::string, uint64_t> tasks_by_tenant_;
 };
+
+/// Fans fn(0..n-1) out over the morsel pool, with the calling thread
+/// taking part, and returns when all calls have. The calls go through
+/// MorselScheduler::Global() under the calling thread's
+/// SchedulingContext, so batched inference and frame encoding share the
+/// pool fairly with concurrent queries. Runs a serial loop instead when
+/// n <= 1, the pool has a single worker, or the caller is itself a pool
+/// worker (nested fan-out degrades to serial). Each call must write only
+/// its own output slot; which thread runs it is the only thing that
+/// varies, so results match the serial loop byte for byte.
+void RunTasks(size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace deeplens

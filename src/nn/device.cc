@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "common/thread_pool.h"
+#include "exec/scheduler.h"
 #include "tensor/ops.h"
 
 namespace deeplens {
@@ -52,7 +53,7 @@ class CpuScalarDevice : public Device {
   }
   void ParallelMap(size_t n, const std::function<void(size_t)>& fn,
                    size_t /*transfer_bytes*/) override {
-    for (size_t i = 0; i < n; ++i) fn(i);
+    RunTasks(n, fn);
   }
 };
 
@@ -83,7 +84,7 @@ class CpuVectorDevice : public Device {
   }
   void ParallelMap(size_t n, const std::function<void(size_t)>& fn,
                    size_t /*transfer_bytes*/) override {
-    for (size_t i = 0; i < n; ++i) fn(i);
+    RunTasks(n, fn);
   }
 };
 
@@ -168,7 +169,7 @@ class GpuSimDevice : public Device {
   void ParallelMap(size_t n, const std::function<void(size_t)>& fn,
                    size_t transfer_bytes) override {
     KernelScope scope(this, ChargeOverhead(transfer_bytes));
-    ThreadPool::Global().ParallelFor(0, n, fn);
+    RunTasks(n, fn);
   }
 
   uint64_t simulated_overhead_nanos() const override {

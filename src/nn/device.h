@@ -3,6 +3,8 @@
 // Three backends reproduce the paper's CPU / AVX / GPU comparison:
 //  * kCpuScalar — single-threaded scalar kernels (the "CPU" bars).
 //  * kCpuVector — single-threaded vectorized kernels (the "AVX" bars).
+//    (Each kernel is single-threaded; a batch's items still run in
+//    parallel through ParallelMap.)
 //  * kGpuSim    — a *simulated* accelerator: kernels run vectorized and
 //    data-parallel across a thread pool (high throughput), but every
 //    launch pays a fixed kernel-launch latency plus a host↔device
@@ -67,9 +69,13 @@ class Device {
   virtual void PairwiseL2Squared(const float* a, size_t na, const float* b,
                                  size_t nb, size_t dim, float* out) = 0;
 
-  /// Runs fn(i) for i in [0, n). The GPU backend executes across the
-  /// thread pool and charges one launch + `transfer_bytes` of copy cost;
-  /// CPU backends run sequentially with no overhead.
+  /// Runs fn(i) for i in [0, n) and returns when every call has. All
+  /// backends fan the calls out over the morsel pool through RunTasks
+  /// (exec/scheduler.h), under the caller's scheduling context, and
+  /// degrade to a serial loop inside a pool worker. The GPU backend first
+  /// charges one launch + `transfer_bytes` of copy cost; CPU backends
+  /// charge nothing. fn(i) must write only item i's output, so the result
+  /// does not depend on which thread ran which item.
   virtual void ParallelMap(size_t n, const std::function<void(size_t)>& fn,
                            size_t transfer_bytes = 0) = 0;
 

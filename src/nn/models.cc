@@ -1,7 +1,6 @@
 #include "nn/models.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <unordered_map>
@@ -243,55 +242,18 @@ Result<std::vector<Detection>> TinySsdDetector::Detect(
 
 Result<std::vector<std::vector<Detection>>> TinySsdDetector::DetectBatch(
     const std::vector<Image>& frames, Device* device) const {
-  for (const Image& f : frames) {
-    if (f.empty() || f.channels() != 3) {
-      return Status::InvalidArgument("TinySSD expects RGB frames");
-    }
-  }
-
-  if (device->kind() == DeviceKind::kGpuSim) {
-    // One launch for the whole batch, with the full per-frame pipeline
-    // (resample → forward → decode → refine) running data-parallel on
-    // device — the way production inference services batch preprocessing
-    // alongside the network.
-    size_t transfer_bytes = 0;
-    for (const Image& f : frames) transfer_bytes += f.size_bytes();
-    std::vector<std::vector<Detection>> result(frames.size());
-    Device* on_device_math = GetDevice(DeviceKind::kCpuVector);
-    std::atomic<bool> failed{false};
-    device->ParallelMap(
-        frames.size(),
-        [&](size_t i) {
-          const Image resized =
-              frames[i].Resize(options_.input_size, options_.input_size);
-          auto scores = net_.Forward(resized.ToTensorCHW(), on_device_math);
-          if (!scores.ok()) {
-            failed = true;
-            return;
-          }
-          result[i] = DecodeGrid(*scores, frames[i].width(),
-                                 frames[i].height());
-          RefineDetections(frames[i], &result[i]);
-        },
-        transfer_bytes);
-    if (failed) return Status::Internal("batched detection failed");
-    return result;
-  }
-
-  std::vector<Tensor> inputs;
-  inputs.reserve(frames.size());
-  for (const Image& f : frames) {
-    inputs.push_back(
-        f.Resize(options_.input_size, options_.input_size).ToTensorCHW());
-  }
-  DL_ASSIGN_OR_RETURN(std::vector<Tensor> outputs,
-                      ForwardBatch(net_, inputs, device));
+  // The full per-frame pipeline (resample → forward → decode → refine)
+  // runs per item, the way production inference services batch
+  // preprocessing alongside the network.
+  size_t transfer_bytes = 0;
+  for (const Image& f : frames) transfer_bytes += f.size_bytes();
   std::vector<std::vector<Detection>> result(frames.size());
-  for (size_t i = 0; i < frames.size(); ++i) {
-    result[i] =
-        DecodeGrid(outputs[i], frames[i].width(), frames[i].height());
-    RefineDetections(frames[i], &result[i]);
-  }
+  DL_RETURN_NOT_OK(MapBatch(device, frames.size(), transfer_bytes,
+                            [&](size_t i, Device* math) -> Status {
+                              DL_ASSIGN_OR_RETURN(result[i],
+                                                  Detect(frames[i], math));
+                              return Status::OK();
+                            }));
   return result;
 }
 
@@ -434,40 +396,20 @@ Result<std::string> TinyOcr::RecognizeText(const Image& patch,
 
 Result<std::vector<std::string>> TinyOcr::RecognizeTextBatch(
     const std::vector<const Image*>& patches, Device* device) const {
+  size_t transfer_bytes = 0;
   for (const Image* p : patches) {
-    if (p == nullptr) {
-      return Status::InvalidArgument("TinyOCR batch: null patch");
-    }
+    if (p != nullptr) transfer_bytes += p->size_bytes();
   }
   std::vector<std::string> result(patches.size());
-  if (device != nullptr && device->kind() == DeviceKind::kGpuSim) {
-    // One launch for the whole batch: per-patch segmentation + matched
-    // filters run data-parallel with host-vectorized math (the
-    // DetectBatch convention), so K staged patches pay one launch
-    // overhead instead of K.
-    size_t transfer_bytes = 0;
-    for (const Image* p : patches) transfer_bytes += p->size_bytes();
-    Device* on_device_math = GetDevice(DeviceKind::kCpuVector);
-    std::atomic<bool> failed{false};
-    device->ParallelMap(
-        patches.size(),
-        [&](size_t i) {
-          auto text = RecognizeText(*patches[i], on_device_math);
-          if (!text.ok()) {
-            failed = true;
-            return;
-          }
-          result[i] = *std::move(text);
-        },
-        transfer_bytes);
-    if (failed) return Status::Internal("batched OCR failed");
-    return result;
-  }
-  // CPU backends: the batch is a plain loop of the single-patch routine,
-  // so batched output is identical to unbatched by construction.
-  for (size_t i = 0; i < patches.size(); ++i) {
-    DL_ASSIGN_OR_RETURN(result[i], RecognizeText(*patches[i], device));
-  }
+  DL_RETURN_NOT_OK(MapBatch(
+      device, patches.size(), transfer_bytes,
+      [&](size_t i, Device* math) -> Status {
+        if (patches[i] == nullptr) {
+          return Status::InvalidArgument("TinyOCR batch: null patch");
+        }
+        DL_ASSIGN_OR_RETURN(result[i], RecognizeText(*patches[i], math));
+        return Status::OK();
+      }));
   return result;
 }
 
@@ -554,37 +496,23 @@ Result<std::vector<float>> TinyDepth::PredictDepthBatch(
   if (patches.size() != bboxes.size() || patches.size() != frame_hs.size()) {
     return Status::InvalidArgument("TinyDepth batch: mismatched item arrays");
   }
-  for (size_t i = 0; i < patches.size(); ++i) {
-    if (patches[i] == nullptr || patches[i]->empty() ||
-        bboxes[i].Height() <= 0) {
-      return Status::InvalidArgument("TinyDepth needs a non-degenerate patch");
-    }
+  size_t transfer_bytes = 0;
+  for (const Image* p : patches) {
+    if (p != nullptr) transfer_bytes += p->size_bytes();
   }
   std::vector<float> result(patches.size(), 0.0f);
-  if (device != nullptr && device->kind() == DeviceKind::kGpuSim) {
-    size_t transfer_bytes = 0;
-    for (const Image* p : patches) transfer_bytes += p->size_bytes();
-    Device* on_device_math = GetDevice(DeviceKind::kCpuVector);
-    std::atomic<bool> failed{false};
-    device->ParallelMap(
-        patches.size(),
-        [&](size_t i) {
-          auto depth = PredictDepth(*patches[i], bboxes[i], frame_hs[i],
-                                    on_device_math);
-          if (!depth.ok()) {
-            failed = true;
-            return;
-          }
-          result[i] = *depth;
-        },
-        transfer_bytes);
-    if (failed) return Status::Internal("batched depth prediction failed");
-    return result;
-  }
-  for (size_t i = 0; i < patches.size(); ++i) {
-    DL_ASSIGN_OR_RETURN(
-        result[i], PredictDepth(*patches[i], bboxes[i], frame_hs[i], device));
-  }
+  DL_RETURN_NOT_OK(MapBatch(
+      device, patches.size(), transfer_bytes,
+      [&](size_t i, Device* math) -> Status {
+        if (patches[i] == nullptr) {
+          return Status::InvalidArgument(
+              "TinyDepth needs a non-degenerate patch");
+        }
+        DL_ASSIGN_OR_RETURN(
+            result[i],
+            PredictDepth(*patches[i], bboxes[i], frame_hs[i], math));
+        return Status::OK();
+      }));
   return result;
 }
 

@@ -45,7 +45,11 @@ class TinySsdDetector {
   Result<std::vector<Detection>> Detect(const Image& frame,
                                         Device* device) const;
 
-  /// Batched variant: one GPU launch for the whole batch.
+  /// Batched variant: one MapBatch (nn/network.h) over frames, so the
+  /// frames run in parallel on the morsel pool and the simulated GPU pays
+  /// one launch for the whole batch. Frame i's detections equal
+  /// Detect(frames[i]) on the per-item math device; the lowest-index
+  /// failure is returned.
   Result<std::vector<std::vector<Detection>>> DetectBatch(
       const std::vector<Image>& frames, Device* device) const;
 
@@ -76,10 +80,11 @@ class TinyOcr {
   Result<std::string> RecognizeText(const Image& patch,
                                     Device* device) const;
 
-  /// Batched variant for the cross-query batch former: one device launch
-  /// for the whole batch on GpuSim, a plain loop of RecognizeText on CPU
-  /// backends (so batched output is identical to unbatched by
-  /// construction). Returns one string per patch, in order.
+  /// Batched variant for the cross-query batch former: one MapBatch of
+  /// RecognizeText over the patches (one launch on GpuSim, parallel on
+  /// the morsel pool everywhere), so batched output is identical to
+  /// unbatched by construction. Returns one string per patch, in order,
+  /// or the lowest-index failure.
   Result<std::vector<std::string>> RecognizeTextBatch(
       const std::vector<const Image*>& patches, Device* device) const;
 
@@ -112,9 +117,10 @@ class TinyDepth {
                              int frame_h, Device* device) const;
 
   /// Batched variant for the cross-query batch former (parallel arrays,
-  /// one entry per item): one device launch on GpuSim, a loop of
-  /// PredictDepth on CPU backends. Any degenerate item fails the whole
-  /// batch — callers that need per-item isolation pre-validate.
+  /// one entry per item): one MapBatch of PredictDepth over the items
+  /// (one launch on GpuSim, parallel on the morsel pool everywhere). Any
+  /// degenerate item fails the whole batch with the lowest-index
+  /// failure — callers that need per-item isolation pre-validate.
   Result<std::vector<float>> PredictDepthBatch(
       const std::vector<const Image*>& patches,
       const std::vector<BBox>& bboxes, const std::vector<int>& frame_hs,

@@ -1,7 +1,5 @@
 #include "nn/network.h"
 
-#include <atomic>
-
 #include "common/string_util.h"
 
 namespace deeplens {
@@ -29,41 +27,35 @@ std::string Network::Summary() const {
   return out;
 }
 
+Status MapBatch(Device* device, size_t n, size_t transfer_bytes,
+                const std::function<Status(size_t, Device*)>& item) {
+  if (n == 0) return Status::OK();
+  Device* math = device->kind() == DeviceKind::kGpuSim
+                     ? GetDevice(DeviceKind::kCpuVector)
+                     : device;
+  std::vector<Status> status(n);
+  device->ParallelMap(
+      n, [&](size_t i) { status[i] = item(i, math); }, transfer_bytes);
+  for (const Status& st : status) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
 Result<std::vector<Tensor>> ForwardBatch(const Network& net,
                                          const std::vector<Tensor>& inputs,
                                          Device* device) {
+  size_t transfer_bytes = 0;
+  for (const Tensor& t : inputs) {
+    transfer_bytes += static_cast<size_t>(t.size()) * sizeof(float);
+  }
   std::vector<Tensor> outputs(inputs.size());
-  if (inputs.empty()) return outputs;
-
-  if (device->kind() == DeviceKind::kGpuSim) {
-    // One launch for the whole batch: the host pays a single transfer of
-    // all inputs; per-item math runs "on device" (parallel, vectorized).
-    size_t transfer_bytes = 0;
-    for (const Tensor& t : inputs) {
-      transfer_bytes += static_cast<size_t>(t.size()) * sizeof(float);
-    }
-    Device* on_device_math = GetDevice(DeviceKind::kCpuVector);
-    std::atomic<bool> failed{false};
-    device->ParallelMap(
-        inputs.size(),
-        [&](size_t i) {
-          auto r = net.Forward(inputs[i], on_device_math);
-          if (r.ok()) {
-            outputs[i] = std::move(r).value();
-          } else {
-            failed = true;
-          }
-        },
-        transfer_bytes);
-    if (failed) {
-      return Status::Internal("batched forward failed on an item");
-    }
-    return outputs;
-  }
-
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    DL_ASSIGN_OR_RETURN(outputs[i], net.Forward(inputs[i], device));
-  }
+  DL_RETURN_NOT_OK(MapBatch(device, inputs.size(), transfer_bytes,
+                            [&](size_t i, Device* math) -> Status {
+                              DL_ASSIGN_OR_RETURN(
+                                  outputs[i], net.Forward(inputs[i], math));
+                              return Status::OK();
+                            }));
   return outputs;
 }
 

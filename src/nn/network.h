@@ -3,6 +3,7 @@
 // inference engines batch frames (paper §7.4.2).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,9 +40,18 @@ class Network {
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 
-/// Runs `net` over a batch of inputs. On the GPU backend the batch is
-/// dispatched as one ParallelMap (single launch + one transfer charge);
-/// on CPU backends items run sequentially.
+/// The one batched-inference path every model entry point shares: runs
+/// item(i, math) for i in [0, n) as a single device->ParallelMap, so the
+/// items fan out over the morsel pool and the GPU backend charges one
+/// launch plus `transfer_bytes` of copy. `math` is the device the
+/// per-item kernels run on: `device` itself, or kCpuVector when `device`
+/// is the simulated GPU (its per-item math runs host-vectorized). Each
+/// item has its own Status slot; the lowest-index failure is returned.
+Status MapBatch(Device* device, size_t n, size_t transfer_bytes,
+                const std::function<Status(size_t, Device*)>& item);
+
+/// Runs `net` over a batch of inputs through MapBatch: item i's output
+/// equals net.Forward(inputs[i]) on the per-item math device.
 Result<std::vector<Tensor>> ForwardBatch(const Network& net,
                                          const std::vector<Tensor>& inputs,
                                          Device* device);

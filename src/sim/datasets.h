@@ -6,7 +6,7 @@
 // Paper-scale cardinalities (35,280 traffic frames; 15 football videos /
 // 15,244 frames; 779 PC images) are available via PaperScale(); the
 // default configs are laptop-scale so the full benchmark suite runs in
-// minutes. EXPERIMENTS.md records which scale each experiment used.
+// minutes.
 #pragma once
 
 #include <string>

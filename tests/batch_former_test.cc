@@ -339,7 +339,8 @@ class BatchFormerDbTest : public ::testing::Test {
 // enabled must produce byte-identical results to unbatched solo
 // execution, and the former must actually have formed batches.
 TEST_F(BatchFormerDbTest, ConcurrentBatchedByteIdenticalToUnbatched) {
-  ASSERT_TRUE(db_->RegisterView("panels", MakePanelView(0xba7c4, 48)).ok());
+  const PatchCollection panels = MakePanelView(0xba7c4, 48);
+  ASSERT_TRUE(db_->RegisterView("panels", panels).ok());
 
   constexpr int kOps = 2;
   // Unbatched solo reference (the former is disabled by default).
@@ -349,10 +350,39 @@ TEST_F(BatchFormerDbTest, ConcurrentBatchedByteIdenticalToUnbatched) {
     reference[op] = RunOp(op, db_->TenantInferenceCache("ref"));
   }
 
+  constexpr int kThreads = 4;
+  // Latched batch: kThreads sessions each miss on a distinct panel, all
+  // released together, with the size threshold equal to the number of
+  // stagers and a deadline far beyond it. The last stager's arrival
+  // size-flushes one kThreads-patch invocation through the production
+  // Cached* path, so amortization does not depend on the randomized
+  // reps below staging concurrently within their 20 ms deadline (under
+  // host load they may not).
+  EnableBatching(/*batch_size=*/kThreads, /*wait_us=*/10000000);
+  {
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const Patch& p = panels[static_cast<size_t>(t)];
+        ready.fetch_add(1);
+        while (!go.load()) std::this_thread::yield();
+        auto text = CachedOcrText(
+            *db_->ocr(), p.pixels(), p.Fingerprint(),
+            nn::GetDevice(nn::DeviceKind::kCpuVector),
+            db_->TenantInferenceCache("latch" + std::to_string(t)));
+        EXPECT_TRUE(text.ok()) << text.status().ToString();
+      });
+    }
+    while (ready.load() < kThreads) std::this_thread::yield();
+    go.store(true);
+    for (auto& th : threads) th.join();
+  }
+
   // Batching on. ConfigureServing retires tenant cache partitions, so
   // every session below starts cold and its misses stage into batches.
   EnableBatching(/*batch_size=*/4, /*wait_us=*/20000);
-  constexpr int kThreads = 4;
   for (int rep = 0; rep < 2; ++rep) {
     std::atomic<int> mismatches{0};
     std::atomic<int> failures{0};

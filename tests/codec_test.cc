@@ -10,7 +10,10 @@
 #include "codec/image_codec.h"
 #include "codec/quant.h"
 #include "codec/video_codec.h"
+#include "common/checksum.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "sim/datasets.h"
 
 namespace deeplens {
 namespace codec {
@@ -324,6 +327,78 @@ TEST(VideoCodecTest, QualityControlsStreamSize) {
     EXPECT_LT(stream->size(), prev);
     prev = stream->size();
   }
+}
+
+// --- Stream pins ------------------------------------------------------------
+// The frame encoder codes blocks in parallel (channel, block-row) tasks
+// and reconstructs P-frame references from its own quantized
+// coefficients. Neither may change a byte: these CRC32Cs were taken from
+// the serial raster-order encoder with an entropy-decoded reconstruction.
+
+std::vector<Image> PinnedTrafficClip() {
+  sim::TrafficCamConfig config;
+  config.num_frames = 16;
+  config.seed = 0xC0DEC16ull;
+  sim::TrafficCamSim cam(config);
+  std::vector<Image> frames;
+  for (int f = 0; f < config.num_frames; ++f) frames.push_back(cam.FrameAt(f));
+  return frames;
+}
+
+struct StreamPin {
+  Quality quality;
+  size_t size;
+  uint32_t crc;
+};
+
+constexpr StreamPin kStreamPins[] = {
+    {Quality::kHigh, 68976, 0x380bf02au},
+    {Quality::kMedium, 15532, 0x34c0ae6cu},
+    {Quality::kLow, 7964, 0xbb6d8447u},
+};
+
+std::vector<uint8_t> EncodePinnedClip(const std::vector<Image>& frames,
+                                      Quality q) {
+  VideoCodecOptions options;
+  options.quality = q;
+  options.gop_size = 8;  // two GOPs: I- and P-frames both pinned
+  auto stream = EncodeVideo(frames, options);
+  EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+  return stream.ok() ? *std::move(stream) : std::vector<uint8_t>{};
+}
+
+TEST(VideoCodecPinTest, StreamBytesMatchPinnedCrcAtEachQuality) {
+  const std::vector<Image> frames = PinnedTrafficClip();
+  for (const StreamPin& pin : kStreamPins) {
+    const std::vector<uint8_t> stream = EncodePinnedClip(frames, pin.quality);
+    EXPECT_EQ(stream.size(), pin.size) << QualityName(pin.quality);
+    EXPECT_EQ(Crc32c(stream.data(), stream.size()), pin.crc)
+        << QualityName(pin.quality);
+  }
+}
+
+TEST(VideoCodecPinTest, SerialEncodeInsidePoolWorkerMatchesPins) {
+  // Inside a pool worker the block tasks run as a serial loop.
+  const std::vector<Image> frames = PinnedTrafficClip();
+  for (const StreamPin& pin : kStreamPins) {
+    std::vector<uint8_t> stream;
+    ThreadPool::Global()
+        .Submit([&] {
+          EXPECT_TRUE(ThreadPool::InWorker());
+          stream = EncodePinnedClip(frames, pin.quality);
+        })
+        .wait();
+    EXPECT_EQ(stream.size(), pin.size) << QualityName(pin.quality);
+    EXPECT_EQ(Crc32c(stream.data(), stream.size()), pin.crc)
+        << QualityName(pin.quality);
+  }
+}
+
+TEST(VideoCodecPinTest, ImageBytesMatchPin) {
+  const std::vector<uint8_t> bytes =
+      EncodeImage(PinnedTrafficClip()[3], Quality::kMedium);
+  EXPECT_EQ(bytes.size(), 1428u);
+  EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), 0x0d4cefb9u);
 }
 
 }  // namespace

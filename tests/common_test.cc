@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -365,6 +367,35 @@ TEST(ThreadPoolTest, ParallelForEmptyRange) {
   bool ran = false;
   pool.ParallelFor(5, 5, [&](size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+// Every worker calls ParallelFor at once. Submitting and waiting from
+// inside a worker would leave no worker to run the chunks; the nested
+// loop must run serially instead, so all tasks finish.
+TEST(ThreadPoolTest, NestedParallelForFromEveryWorkerCompletes) {
+  // Leaked on purpose: if the tasks deadlock, destroying the pool would
+  // hang joining its workers instead of failing the test.
+  auto* pool = new ThreadPool(3);
+  const size_t workers = pool->num_threads();
+  std::atomic<size_t> arrived{0};
+  std::atomic<int> hits{0};
+  std::vector<std::future<void>> futs;
+  for (size_t t = 0; t < workers; ++t) {
+    futs.push_back(pool->Submit([&] {
+      // Hold every worker inside a task before any of them nests.
+      arrived.fetch_add(1);
+      while (arrived.load() < workers) std::this_thread::yield();
+      pool->ParallelFor(0, 64, [&](size_t) { hits.fetch_add(1); });
+    }));
+  }
+  bool all_done = true;
+  for (auto& f : futs) {
+    all_done = all_done && f.wait_for(std::chrono::seconds(30)) ==
+                               std::future_status::ready;
+  }
+  ASSERT_TRUE(all_done) << "nested ParallelFor deadlocked the pool";
+  EXPECT_EQ(hits.load(), static_cast<int>(workers) * 64);
+  delete pool;
 }
 
 // --- Serving env knobs ----------------------------------------------------

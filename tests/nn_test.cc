@@ -6,6 +6,8 @@
 #include <atomic>
 #include <cmath>
 
+#include "common/thread_pool.h"
+#include "exec/scheduler.h"
 #include "nn/device.h"
 #include "nn/layers.h"
 #include "nn/models.h"
@@ -227,6 +229,24 @@ INSTANTIATE_TEST_SUITE_P(AllDevices, BatchDevices,
                                            DeviceKind::kCpuVector,
                                            DeviceKind::kGpuSim));
 
+// A failing item surfaces its own Status on every backend, the simulated
+// GPU included.
+class BatchErrorDevices : public ::testing::TestWithParam<DeviceKind> {};
+
+TEST_P(BatchErrorDevices, ForwardBatchReturnsTheItemsStatus) {
+  Network net("conv");
+  net.Add<Conv2d>(3, 2, 3, 1, 1);
+  const std::vector<Tensor> inputs = {Tensor({3, 8, 8}), Tensor({2, 8, 8})};
+  auto batch = ForwardBatch(net, inputs, GetDevice(GetParam()));
+  ASSERT_FALSE(batch.ok());
+  EXPECT_TRUE(batch.status().IsInvalidArgument())
+      << batch.status().ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(CpuAndGpu, BatchErrorDevices,
+                         ::testing::Values(DeviceKind::kCpuVector,
+                                           DeviceKind::kGpuSim));
+
 // --- Models over synthetic scenes ------------------------------------------
 
 sim::SceneObject MakeObject(ObjectClass cls, int x0, int y0, int w, int h,
@@ -398,6 +418,162 @@ TEST(TinyDepthTest, RejectsDegenerateInput) {
                    .PredictDepth(Image(4, 4, 3), BBox{0, 0, 4, 0}, 72,
                                  GetDevice(DeviceKind::kCpuVector))
                    .ok());
+}
+
+// --- Batched entry points on the morsel pool ------------------------------
+// Every batched entry point fans its items out through the morsel
+// scheduler. Batches of 4x the pool width must equal the per-item calls
+// field by field, and the scheduler must have run one task per item for
+// the calling tenant.
+
+class PooledBatchTest : public ::testing::Test {
+ protected:
+  static size_t BatchSize() { return 4 * ThreadPool::Global().num_threads(); }
+
+  static uint64_t TenantTasks(const std::string& tenant) {
+    const SchedulerStats stats = MorselScheduler::Global().Stats();
+    auto it = stats.tasks_by_tenant.find(tenant);
+    return it == stats.tasks_by_tenant.end() ? 0 : it->second;
+  }
+
+  // Runs `batch` under a scheduling context named `tenant` and checks
+  // that it went through the scheduler, one task per item.
+  template <typename Fn>
+  static void RunPooled(const std::string& tenant, size_t items, Fn batch) {
+    const uint64_t before = TenantTasks(tenant);
+    {
+      ScopedSchedulingContext ctx(SchedulingContext{tenant, 1});
+      batch();
+    }
+    if (ThreadPool::Global().num_threads() > 1) {
+      EXPECT_EQ(TenantTasks(tenant) - before, items);
+    }
+  }
+
+  static Image PanelWithDigits(size_t i) {
+    Image panel(40, 20, 3);
+    for (auto& b : panel.bytes()) b = static_cast<uint8_t>(20 + i % 7);
+    sim::DrawDigits(&panel, BBox{2, 2, 38, 18}, std::to_string(10 + i * 7));
+    return panel;
+  }
+
+  Device* device_ = GetDevice(DeviceKind::kCpuVector);
+};
+
+TEST_F(PooledBatchTest, ForwardBatchEqualsSingleCalls) {
+  Network net("pooled");
+  auto* conv = net.Add<Conv2d>(3, 4, 3, 1, 1);
+  Rng rng(21);
+  conv->InitRandom(&rng, 0.3f);
+  net.Add<ReluLayer>();
+  std::vector<Tensor> inputs;
+  for (size_t i = 0; i < BatchSize(); ++i) {
+    Tensor t({3, 6, 6});
+    for (int64_t j = 0; j < t.size(); ++j) {
+      t[j] = static_cast<float>(rng.NextGaussian());
+    }
+    inputs.push_back(std::move(t));
+  }
+  Result<std::vector<Tensor>> batch = Status::Internal("not run");
+  RunPooled("pooled-forward", inputs.size(),
+            [&] { batch = ForwardBatch(net, inputs, device_); });
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    auto single = net.Forward(inputs[i], device_);
+    ASSERT_TRUE(single.ok());
+    ASSERT_EQ((*batch)[i].size(), single->size());
+    for (int64_t j = 0; j < single->size(); ++j) {
+      EXPECT_EQ((*batch)[i][j], (*single)[j]) << "item " << i << " @" << j;
+    }
+  }
+}
+
+TEST_F(PooledBatchTest, DetectBatchEqualsSingleCalls) {
+  TinySsdDetector detector;
+  std::vector<Image> frames;
+  for (size_t i = 0; i < BatchSize(); ++i) {
+    const int k = static_cast<int>(i);
+    std::vector<sim::SceneObject> objects = {
+        MakeObject(ObjectClass::kCar, 8 + 6 * (k % 12), 40, 16, 7, 1),
+        MakeObject(ObjectClass::kPerson, 90 - 3 * (k % 10), 10, 5, 14, 2)};
+    frames.push_back(sim::RenderScene(128, 72, sim::Background::kAsphalt,
+                                      objects, 200 + i));
+  }
+  Result<std::vector<std::vector<Detection>>> batch =
+      Status::Internal("not run");
+  RunPooled("pooled-detect", frames.size(),
+            [&] { batch = detector.DetectBatch(frames, device_); });
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), frames.size());
+  size_t detections = 0;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    auto single = detector.Detect(frames[i], device_);
+    ASSERT_TRUE(single.ok());
+    detections += single->size();
+    ASSERT_EQ((*batch)[i].size(), single->size()) << "frame " << i;
+    for (size_t j = 0; j < single->size(); ++j) {
+      const Detection& b = (*batch)[i][j];
+      const Detection& s = (*single)[j];
+      EXPECT_EQ(b.bbox.x0, s.bbox.x0);
+      EXPECT_EQ(b.bbox.y0, s.bbox.y0);
+      EXPECT_EQ(b.bbox.x1, s.bbox.x1);
+      EXPECT_EQ(b.bbox.y1, s.bbox.y1);
+      EXPECT_EQ(b.label, s.label);
+      EXPECT_EQ(b.score, s.score);
+    }
+  }
+  EXPECT_GE(detections, frames.size());  // the scenes are not empty
+}
+
+TEST_F(PooledBatchTest, RecognizeTextBatchEqualsSingleCalls) {
+  TinyOcr ocr;
+  std::vector<Image> panels;
+  for (size_t i = 0; i < BatchSize(); ++i) panels.push_back(PanelWithDigits(i));
+  std::vector<const Image*> ptrs;
+  for (const Image& p : panels) ptrs.push_back(&p);
+  Result<std::vector<std::string>> batch = Status::Internal("not run");
+  RunPooled("pooled-ocr", ptrs.size(),
+            [&] { batch = ocr.RecognizeTextBatch(ptrs, device_); });
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), panels.size());
+  for (size_t i = 0; i < panels.size(); ++i) {
+    auto single = ocr.RecognizeText(panels[i], device_);
+    ASSERT_TRUE(single.ok());
+    EXPECT_FALSE(single->empty()) << "panel " << i;
+    EXPECT_EQ((*batch)[i], *single) << "panel " << i;
+  }
+}
+
+TEST_F(PooledBatchTest, PredictDepthBatchEqualsSingleCalls) {
+  TinyDepth model(kFocalTimesHeight);
+  std::vector<Image> crops;
+  std::vector<BBox> bboxes;
+  for (size_t i = 0; i < BatchSize(); ++i) {
+    const int h = 12 + static_cast<int>(i % 9) * 3;
+    sim::SceneObject ped = MakeObject(ObjectClass::kPerson,
+                                      10 + static_cast<int>(i % 20) * 5, 4,
+                                      std::max(3, h / 3), h);
+    Image frame = sim::RenderScene(128, 72, sim::Background::kAsphalt, {ped},
+                                   300 + i);
+    crops.push_back(
+        frame.Crop(ped.bbox.x0, ped.bbox.y0, ped.bbox.x1, ped.bbox.y1));
+    bboxes.push_back(ped.bbox);
+  }
+  std::vector<const Image*> ptrs;
+  for (const Image& c : crops) ptrs.push_back(&c);
+  const std::vector<int> frame_hs(crops.size(), 72);
+  Result<std::vector<float>> batch = Status::Internal("not run");
+  RunPooled("pooled-depth", ptrs.size(), [&] {
+    batch = model.PredictDepthBatch(ptrs, bboxes, frame_hs, device_);
+  });
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), crops.size());
+  for (size_t i = 0; i < crops.size(); ++i) {
+    auto single = model.PredictDepth(crops[i], bboxes[i], 72, device_);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ((*batch)[i], *single) << "crop " << i;
+  }
 }
 
 TEST(DomainTest, BBoxIou) {

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "cache/inflight.h"
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/query.h"
 #include "core/session.h"
@@ -303,6 +305,46 @@ TEST(MorselSchedulerTest, ShortTaskSetNotStarvedByLongOne) {
   const SchedulerStats stats = MorselScheduler::Global().Stats();
   EXPECT_GE(stats.tasks_by_tenant.at("long"), 160u);
   EXPECT_GE(stats.tasks_by_tenant.at("short"), 8u);
+}
+
+// The caller drains its own set: with every pool worker blocked (as
+// workers waiting on a batch the caller is about to compute would be),
+// Run still completes on the calling thread alone.
+TEST(MorselSchedulerTest, CallerFinishesItsSetWhileWorkersAreBlocked) {
+  const size_t workers = ThreadPool::Global().num_threads();
+  std::atomic<size_t> parked{0};
+  std::atomic<bool> release{false};
+  std::vector<std::future<void>> blockers;
+  for (size_t i = 0; i < workers; ++i) {
+    blockers.push_back(ThreadPool::Global().Submit([&] {
+      parked.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }));
+  }
+  while (parked.load() < workers) std::this_thread::yield();
+
+  std::atomic<bool> finished{false};
+  std::atomic<int> ran{0};
+  std::thread caller([&] {
+    MorselScheduler::Global().Run(
+        16, [&](size_t) { ran.fetch_add(1); },
+        SchedulingContext{"blocked-pool", 1});
+    finished.store(true);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!finished.load() &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(30)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool finished_while_blocked = finished.load();
+  release.store(true);  // unblock the pool either way, so the test ends
+  caller.join();
+  for (auto& b : blockers) b.wait();
+  EXPECT_TRUE(finished_while_blocked)
+      << "Run waited on pool workers that were all blocked";
+  EXPECT_EQ(ran.load(), 16);
 }
 
 // Weights bias the interleave: with equal-size task sets racing, the
