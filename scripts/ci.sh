@@ -14,7 +14,9 @@
 #               `persistence`- and `kernels`-labeled suites
 #   docs      — docs/KNOBS.md consistency: every DEEPLENS_* env knob
 #               referenced by src/ or bench/ (and ci.sh's own control
-#               vars) must appear in the knob reference table
+#               vars) must appear in the knob reference table, and every
+#               DEEPLENS_* name in the table must be referenced by src/,
+#               bench/, CMakeLists.txt or ci.sh
 #
 # Usage: scripts/ci.sh [build-dir]
 #   DEEPLENS_CI_STAGES   comma/space-separated subset to run, in the
@@ -57,8 +59,9 @@ stage_bench() {
   # Pipeline gate: batch+parallel vs tuple baseline. Writes
   # BENCH_pipeline.json.
   "$BUILD_DIR"/bench_micro_pipeline_batch
-  # Storage gate: pruned columnar scan >= 2x the legacy selective scan
-  # with zone maps pruning >= half the chunks. Writes BENCH_store.json.
+  # Storage gate: zone-map pruned columnar scan >= 2x the same scan over
+  # every chunk, with zone maps pruning >= half the chunks. Writes
+  # BENCH_store.json.
   "$BUILD_DIR"/bench_micro_store
   # Optimizer gate: UDF-first query reordered >= 2x, proxy cascade >=
   # 1.2x, both byte-identical to the naive plans. Writes
@@ -143,8 +146,21 @@ stage_docs() {
       missing=1
     fi
   done
+  # Reverse direction: every knob the table names must still be
+  # referenced by the code, the build or this script, so a deleted
+  # knob's row cannot outlive it.
+  local documented
+  documented="$(grep -oE 'DEEPLENS_[A-Z0-9_]+' docs/KNOBS.md | sort -u)"
+  for knob in $documented; do
+    if ! grep -rqw "$knob" src bench CMakeLists.txt scripts/ci.sh; then
+      echo "ci.sh: knob ${knob} is documented in docs/KNOBS.md but" \
+           "referenced nowhere in src/, bench/, CMakeLists.txt or ci.sh" >&2
+      missing=1
+    fi
+  done
   if [[ "$missing" == "1" ]]; then return 1; fi
-  echo "docs: all $(echo "$knobs" | wc -l) referenced knobs documented"
+  echo "docs: all $(echo "$knobs" | wc -l) referenced knobs documented," \
+       "all $(echo "$documented" | wc -l) documented knobs referenced"
 }
 
 declare -a RAN_NAMES=() RAN_SECS=()

@@ -514,8 +514,8 @@ Result<QueryRun> BenchmarkWorkload::RunQ6(bool optimized) {
                         HashEqualityJoin(view->patches, view->patches,
                                          meta_keys::kFrameNo, residual,
                                          &stats));
-    // Explain which join core ran (radix vs shared-build) with its phase
-    // breakdown, same as scan plans report their access path.
+    // Explain the join's partition fan-out and phase breakdown, same as
+    // scan plans report their access path.
     run.plan =
         Planner::ExplainJoin(meta_keys::kFrameNo, residual, stats).description;
   } else {

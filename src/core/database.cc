@@ -238,11 +238,6 @@ bool Database::HasPersistedView(const std::string& name) const {
 
 Status Database::AttachPersistedView(const std::string& name) {
   DL_ASSIGN_OR_RETURN(auto mat, MaterializedView::Open(ViewPath(name)));
-  if (mat->format() == MaterializedView::Format::kLegacy) {
-    // Legacy log files have no chunk catalog to stream from; loading
-    // them resident keeps the attach call working on old databases.
-    return LoadPersistedView(name);
-  }
   DL_ASSIGN_OR_RETURN(auto reader, mat->OpenReader());
   ViewCache& view = views_[name];
   view.patches.clear();

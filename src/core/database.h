@@ -177,9 +177,8 @@ class Database {
 
   /// Registers persisted view `name` as a disk-backed view: a columnar
   /// footer snapshot is attached and queries stream chunks (zone-map
-  /// pruned, decode-ahead) instead of materializing the rows in RAM.
-  /// Legacy-format files cannot stream, so they fall back to
-  /// LoadPersistedView's full load.
+  /// pruned, decode-ahead) instead of materializing the rows in RAM. A
+  /// file that is not a columnar view is a Corruption and stays untouched.
   Status AttachPersistedView(const std::string& name);
 
   // --- Index management (paper §3.2) ------------------------------------

@@ -996,17 +996,12 @@ PlanExplanation Planner::ExplainJoin(const std::string& key,
   plan.candidates = stats.pairs_examined;
   std::ostringstream desc;
   desc << std::fixed << std::setprecision(2);
-  if (stats.partitions_used > 0) {
-    desc << "radix hash join on '" << key << "': " << stats.partitions_used
-         << " partitions, max skew " << stats.max_partition_skew
-         << "x; phase ms partition=" << stats.partition_millis
-         << " build=" << stats.index_build_millis
-         << " probe=" << stats.probe_millis
-         << " merge=" << stats.merge_millis;
-  } else {
-    desc << "shared-build hash join on '" << key
-         << "' (serial core); build ms=" << stats.index_build_millis;
-  }
+  desc << "radix hash join on '" << key << "': " << stats.partitions_used
+       << " partitions, max skew " << stats.max_partition_skew
+       << "x; phase ms partition=" << stats.partition_millis
+       << " build=" << stats.index_build_millis
+       << " probe=" << stats.probe_millis
+       << " merge=" << stats.merge_millis;
   plan.description = desc.str();
   return AnnotateUdfUse(std::move(plan), residual);
 }

@@ -240,11 +240,11 @@ class Planner {
       const ViewCache& view, const std::string& order_key,
       const ExprPtr& predicate, PlanExplanation* explanation);
 
-  /// Explains an executed equality join from its stats: which core ran
-  /// (radix vs shared-build), the per-phase timing breakdown, partition
-  /// fan-out and skew — with the residual's NN-UDF/cache usage annotated
-  /// like every other plan. Lets benchmarks and queries report *why* a
-  /// parallel join was fast or slow without rebuilding the bench.
+  /// Explains an executed equality join from its stats: the radix
+  /// core's per-phase timing breakdown, partition fan-out and skew — with
+  /// the residual's NN-UDF/cache usage annotated like every other plan.
+  /// Lets benchmarks and queries report *why* a parallel join was fast or
+  /// slow without rebuilding the bench.
   static PlanExplanation ExplainJoin(const std::string& key,
                                      const ExprPtr& residual,
                                      const JoinStats& stats);

@@ -107,6 +107,7 @@ int MetaValue::Compare(const MetaValue& other) const {
 }
 
 std::string MetaValue::ToIndexKey() const {
+  // Tags sort like Compare's type order: null < 'N' < 'S' < 'b'.
   // Numerics share tag 'N' so int/float index keys interleave correctly.
   switch (type()) {
     case ValueType::kNull:
@@ -122,7 +123,7 @@ std::string MetaValue::ToIndexKey() const {
     case ValueType::kString:
       return "S" + std::get<std::string>(v_);
     case ValueType::kBool:
-      return std::string("B") + (std::get<bool>(v_) ? "\x01" : "\x00");
+      return std::string("b") + (std::get<bool>(v_) ? '\x01' : '\x00');
   }
   return "";
 }

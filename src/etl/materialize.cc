@@ -4,70 +4,23 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/bytes.h"
 #include "storage/columnar/async_loader.h"
-#include "storage/columnar/format.h"
 #include "storage/file_io.h"
 
 namespace deeplens {
 
-namespace {
-
-// An existing non-empty file dictates its own format: columnar files
-// start with the columnar magic, anything else is a legacy RecordStore
-// log. Missing/empty files use `requested`.
-Result<MaterializedView::Format> SniffFormat(
-    const std::string& path, MaterializedView::Format requested) {
-  if (!FileExists(path)) return requested;
-  DL_ASSIGN_OR_RETURN(uint64_t size, FileSize(path));
-  if (size == 0) return requested;
-  DL_ASSIGN_OR_RETURN(auto file, RandomAccessFile::Open(path));
-  if (size < columnar::kHeaderSize) return MaterializedView::Format::kLegacy;
-  std::vector<uint8_t> head;
-  DL_RETURN_NOT_OK(file->ReadAt(0, columnar::kHeaderSize, &head));
-  uint64_t magic = 0;
-  std::memcpy(&magic, head.data(), sizeof(magic));
-  return magic == columnar::kColumnarMagic
-             ? MaterializedView::Format::kColumnar
-             : MaterializedView::Format::kLegacy;
-}
-
-MaterializedView::Format FormatFromEnv() {
-  return columnar::ViewFormatFromEnv() == "legacy"
-             ? MaterializedView::Format::kLegacy
-             : MaterializedView::Format::kColumnar;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Open(
     const std::string& path) {
-  return Open(path, FormatFromEnv());
-}
-
-Result<std::unique_ptr<MaterializedView>> MaterializedView::Open(
-    const std::string& path, Format format) {
-  DL_ASSIGN_OR_RETURN(Format actual, SniffFormat(path, format));
-  if (actual == Format::kLegacy) {
-    DL_ASSIGN_OR_RETURN(auto store, RecordStore::Open(path));
-    return std::unique_ptr<MaterializedView>(
-        new MaterializedView(std::move(store)));
-  }
   DL_ASSIGN_OR_RETURN(auto writer, columnar::ColumnarWriter::Open(path));
   return std::unique_ptr<MaterializedView>(
       new MaterializedView(path, std::move(writer)));
 }
 
 Status MaterializedView::Append(const Patch& patch) {
-  if (store_ != nullptr) {
-    ByteBuffer buf;
-    patch.SerializeInto(&buf);
-    return store_->Put(Slice(EncodeKeyU64(patch.id())), buf.AsSlice());
-  }
-  // Columnar: the file wants strictly ascending ids. The common ETL case
-  // (fresh ids from the database counter) streams straight into chunks;
-  // out-of-order or overwriting appends park in the pending buffer and
-  // merge at the next sync.
+  // The file wants strictly ascending ids. The common ETL case (fresh ids
+  // from the database counter) streams straight into chunks; out-of-order
+  // or overwriting appends park in the pending buffer and merge at the
+  // next sync.
   if (pending_.empty() &&
       (!writer_->has_rows() || patch.id() > writer_->last_id())) {
     return writer_->Append(patch);
@@ -156,23 +109,6 @@ Result<uint64_t> MaterializedView::Write(PatchIterator* it) {
 }
 
 Result<PatchCollection> MaterializedView::LoadAll() const {
-  if (store_ != nullptr) {
-    PatchCollection out;
-    Status decode_status;
-    DL_RETURN_NOT_OK(
-        store_->ScanAll([&](const Slice& /*key*/, const Slice& value) {
-          ByteReader reader(value);
-          auto patch = Patch::Deserialize(&reader);
-          if (!patch.ok()) {
-            decode_status = patch.status();
-            return false;
-          }
-          out.push_back(std::move(patch).value());
-          return true;
-        }));
-    DL_RETURN_NOT_OK(decode_status);
-    return out;
-  }
   DL_RETURN_NOT_OK(SyncColumnar());
   DL_ASSIGN_OR_RETURN(auto reader, columnar::ColumnarReader::Open(path_));
   return reader->ReadAll();
@@ -180,10 +116,6 @@ Result<PatchCollection> MaterializedView::LoadAll() const {
 
 Result<std::shared_ptr<columnar::ColumnarReader>>
 MaterializedView::OpenReader() const {
-  if (store_ != nullptr) {
-    return Status::InvalidArgument(
-        "OpenReader: view '" + store_->path() + "' uses the legacy format");
-  }
   DL_RETURN_NOT_OK(SyncColumnar());
   return columnar::ColumnarReader::Open(path_);
 }
@@ -201,8 +133,8 @@ class FailedScan : public BatchIterator {
 };
 
 // Streams a columnar file batch-at-a-time through the decode-ahead
-// loader. Owns its reader snapshot, so it is self-contained like the
-// legacy eager scan: it survives the view and never sees later appends.
+// loader. Owns its reader snapshot, so it is self-contained: it survives
+// the view and never sees later appends.
 class ColumnarBatchScan : public BatchIterator {
  public:
   ColumnarBatchScan(std::shared_ptr<const columnar::ColumnarReader> reader,
@@ -244,15 +176,6 @@ class ColumnarBatchScan : public BatchIterator {
 }  // namespace
 
 BatchIteratorPtr MaterializedView::ScanBatches(size_t batch_size) const {
-  if (store_ != nullptr) {
-    // Materialize eagerly: RecordStore scans are callback-driven, patch
-    // decode cost dominates iteration overhead, and an eager snapshot
-    // keeps the iterator self-contained (it neither references the view
-    // nor sees writes made after Scan).
-    auto loaded = LoadAll();
-    if (!loaded.ok()) return std::make_unique<FailedScan>(loaded.status());
-    return MakeBatchVectorSource(std::move(loaded).value(), batch_size);
-  }
   auto reader = OpenReader();
   if (!reader.ok()) return std::make_unique<FailedScan>(reader.status());
   return std::make_unique<ColumnarBatchScan>(std::move(reader).value(),
@@ -264,21 +187,16 @@ PatchIteratorPtr MaterializedView::Scan() const {
 }
 
 uint64_t MaterializedView::size() const {
-  if (store_ != nullptr) return store_->Stats().num_records;
   if (SyncColumnar().ok()) return writer_->rows();
   // Sync failed (e.g. I/O error): report the upper bound we know of.
   return writer_->rows() + pending_.size();
 }
 
 uint64_t MaterializedView::storage_bytes() const {
-  if (store_ != nullptr) return store_->Stats().log_bytes;
   (void)SyncColumnar();
   return writer_->file_bytes();
 }
 
-Status MaterializedView::Flush() {
-  if (store_ != nullptr) return store_->Flush();
-  return SyncColumnar();
-}
+Status MaterializedView::Flush() { return SyncColumnar(); }
 
 }  // namespace deeplens

@@ -3,13 +3,11 @@
 // inference) amortizes across queries — the ETL-vs-Query-time separation
 // of §7.2.
 //
-// Two on-disk formats live behind this one API. New views default to the
-// chunked columnar format (storage/columnar/, switchable with
-// DEEPLENS_VIEW_FORMAT); files written before the columnar format existed
-// are sniffed by their header bytes and keep working through the legacy
-// RecordStore path. Columnar views additionally expose OpenReader() so
-// the planner can scan them with zone-map pruning, projection pushdown,
-// and async decode-ahead instead of a full materialize.
+// Views are stored in the chunked columnar format (storage/columnar/).
+// OpenReader() hands the planner a footer snapshot, so scans get zone-map
+// pruning, projection pushdown and async decode-ahead instead of a full
+// materialize. A file in any other format (e.g. a pre-columnar RecordStore
+// log) fails to open with the reader's typed Corruption and is left as is.
 #pragma once
 
 #include <map>
@@ -20,30 +18,18 @@
 #include "exec/batch.h"
 #include "exec/operators.h"
 #include "storage/columnar/columnar_file.h"
-#include "storage/record_store.h"
 
 namespace deeplens {
 
 /// \brief A named, persisted patch collection (keys are patch ids; a
-/// re-appended id overwrites the stored row in either format).
+/// re-appended id overwrites the stored row).
 class MaterializedView {
  public:
-  enum class Format { kLegacy, kColumnar };
-
-  /// Opens (or creates) the view's backing file. Existing non-empty files
-  /// keep their on-disk format (sniffed from the header); new files use
-  /// DEEPLENS_VIEW_FORMAT (default columnar).
+  /// Opens (or creates) the view's columnar backing file. A non-empty
+  /// file that is not a valid columnar view is a Corruption and is not
+  /// modified.
   static Result<std::unique_ptr<MaterializedView>> Open(
       const std::string& path);
-
-  /// Like Open(path), but new/empty files are created in `format`
-  /// explicitly (benchmarks and differential tests pin both formats).
-  static Result<std::unique_ptr<MaterializedView>> Open(
-      const std::string& path, Format format);
-
-  Format format() const {
-    return store_ != nullptr ? Format::kLegacy : Format::kColumnar;
-  }
 
   /// Drains a batch iterator into the store (the native path). Returns
   /// the number of patches written.
@@ -52,8 +38,8 @@ class MaterializedView {
   /// Drains a tuple iterator by batching it through the vectorized engine.
   Result<uint64_t> Write(PatchIterator* it);
 
-  /// Appends a single patch (columnar: buffered until Flush/scan when it
-  /// arrives out of id order or overwrites an existing id).
+  /// Appends a single patch (buffered until Flush/scan when it arrives
+  /// out of id order or overwrites an existing id).
   Status Append(const Patch& patch);
 
   /// Loads every stored patch (ordered by id).
@@ -61,15 +47,14 @@ class MaterializedView {
 
   /// Batch source over the stored patches. The iterator is a snapshot
   /// taken at call time: it survives the view and never sees later
-  /// appends. Columnar views stream chunk-at-a-time through the async
-  /// decode-ahead loader instead of materializing everything eagerly.
+  /// appends. It streams chunk-at-a-time through the async decode-ahead
+  /// loader instead of materializing everything eagerly.
   BatchIteratorPtr ScanBatches(size_t batch_size = kDefaultBatchSize) const;
 
   /// Tuple source over the stored patches (adapter over ScanBatches).
   PatchIteratorPtr Scan() const;
 
-  /// Columnar views only: a footer snapshot handle for planner-side
-  /// chunk-pruned scans. InvalidArgument on legacy views.
+  /// A footer snapshot handle for planner-side chunk-pruned scans.
   Result<std::shared_ptr<columnar::ColumnarReader>> OpenReader() const;
 
   uint64_t size() const;
@@ -77,22 +62,17 @@ class MaterializedView {
   Status Flush();
 
  private:
-  explicit MaterializedView(std::unique_ptr<RecordStore> store)
-      : store_(std::move(store)) {}
   MaterializedView(std::string path,
                    std::unique_ptr<columnar::ColumnarWriter> writer)
       : path_(std::move(path)), writer_(std::move(writer)) {}
 
-  /// Columnar: drains the pending reorder/overwrite buffer into the file
+  /// Drains the pending reorder/overwrite buffer into the file
   /// (merge-rewriting when ids collide or interleave) and commits the
   /// footer, so readers opened afterwards see every append. Const because
   /// every read path must observe pending appends (mutable backend).
   Status SyncColumnar() const;
 
-  // Exactly one backend is set.
-  std::shared_ptr<RecordStore> store_;  // legacy
-
-  std::string path_;  // columnar
+  std::string path_;
   mutable std::unique_ptr<columnar::ColumnarWriter> writer_;
   // Out-of-order / overwriting appends park here until SyncColumnar().
   mutable std::map<PatchId, Patch> pending_;

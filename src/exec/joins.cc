@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <unordered_map>
 
 #include "common/clock.h"
 #include "common/thread_pool.h"
@@ -90,11 +88,12 @@ std::vector<PatchTuple> MergePartials(
   return out;
 }
 
-// Morsel-parallel probe driver shared by the join cores. `probe_row` is
-// called for every probe-side row, in row order within a morsel, and adds
-// candidate tuples to the morsel's PairBatcher (which applies the residual
-// batch-wise). Per-morsel outputs are merged in morsel order, so the
-// result is byte-identical to running the same probes serially.
+// Morsel-parallel probe driver shared by the nested-loop and index-probing
+// joins. `probe_row` is called for every probe-side row, in row order
+// within a morsel, and adds candidate tuples to the morsel's PairBatcher
+// (which applies the residual batch-wise). Per-morsel outputs are merged
+// in morsel order, so the result is byte-identical to running the same
+// probes serially.
 Result<std::vector<PatchTuple>> MorselProbeJoin(
     size_t probe_rows, const CompiledPredicate& residual,
     const MorselOptions& options, uint64_t* pairs_examined,
@@ -121,48 +120,7 @@ Result<std::vector<PatchTuple>> MorselProbeJoin(
   return MergePartials(&partials);
 }
 
-// Materializes (left_row, right_row) candidate pairs as concatenated
-// tuples and applies the residual, morsel-parallel over the pair list with
-// ordered merge. Used by join paths that cannot emit during the probe
-// (e.g. a hash join that probed with the right side and re-sorted pairs
-// into canonical left-major order).
-Result<std::vector<PatchTuple>> EmitPairsParallel(
-    const PatchCollection& lhs, const PatchCollection& rhs,
-    const std::vector<std::pair<size_t, size_t>>& pairs,
-    const CompiledPredicate& residual, const MorselOptions& options) {
-  const MorselPlan plan = PlanMorsels(pairs.size(), options);
-  std::vector<std::vector<PatchTuple>> partials(plan.num_morsels);
-  DL_RETURN_NOT_OK(DispatchMorsels(
-      pairs.size(), plan, [&](size_t m, size_t lo, size_t hi) -> Status {
-        PairBatcher batcher(&residual, &partials[m]);
-        for (size_t i = lo; i < hi; ++i) {
-          DL_RETURN_NOT_OK(batcher.Add(
-              Concat(lhs[pairs[i].first], rhs[pairs[i].second])));
-        }
-        return batcher.Flush();
-      }));
-  return MergePartials(&partials);
-}
-
-// Evaluates a join side filter (exec/expression.h JoinSideSplit) over every
-// row of one input: pass[i] != 0 keeps row i. Empty when the filter is
-// always true. A side filter holds attr-vs-literal steps only, so it
-// cannot fail.
-Result<std::vector<uint8_t>> SideFilterPass(const PatchCollection& rows,
-                                            const CompiledPredicate& filter) {
-  std::vector<uint8_t> pass;
-  if (filter.always_true()) return pass;
-  pass.resize(rows.size());
-  DL_RETURN_NOT_OK(filter.EvalPatchRows(rows.data(), rows.size(), pass.data()));
-  return pass;
-}
-
 // --- Radix hash-join core ---------------------------------------------------
-
-// Below this combined input size the partition pass costs more than the
-// shared-build core's whole run; the radix path is only entered above it
-// (or when DEEPLENS_JOIN_PARTITIONS explicitly forces it).
-constexpr size_t kRadixMinRows = 4096;
 
 // One schedulable slice of a partition's probe rows. Build work is
 // per-partition, but probe parallelism is chunk-level so a single hot
@@ -380,114 +338,24 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
                                                  JoinStats* stats,
                                                  const MorselOptions& options) {
   // The residual's leading single-side conjuncts become per-side row
-  // filters, applied by both cores before any pair exists.
+  // filters, applied in the partition pass before any pair exists.
   const JoinSideSplit split = CompiledPredicate(residual).SplitJoinSides();
 
-  // The radix core wins when the probe work is large enough to amortize
-  // its partition pass; the shared-build core below stays the serial /
-  // small-join path. An explicit DEEPLENS_JOIN_PARTITIONS override forces
-  // radix on any parallel plan (the differential tests rely on this to
-  // exercise it at small sizes).
+  // A serial plan runs the radix core at one partition: the partition
+  // pass then only encodes and hashes each key once, and the single
+  // table is the whole build. Parallel plans fan out to the
+  // DEEPLENS_JOIN_PARTITIONS override or the heuristic, which itself
+  // shrinks to one partition for small builds.
   const size_t workers = ResolveMorselWorkers(options);
-  const uint64_t part_override = JoinPartitionOverride();
-  const bool parallel_plan = workers > 1 && !ThreadPool::InWorker();
-  if (parallel_plan &&
-      (part_override > 0 || lhs.size() + rhs.size() >= kRadixMinRows)) {
-    const size_t parts =
-        part_override > 0
-            ? static_cast<size_t>(part_override)
-            : ChooseJoinPartitions(std::min(lhs.size(), rhs.size()), workers);
-    return RadixHashJoin(lhs, rhs, key, split, parts, stats, options);
+  size_t parts = 1;
+  if (workers > 1 && !ThreadPool::InWorker()) {
+    const uint64_t part_override = JoinPartitionOverride();
+    parts = part_override > 0
+                ? static_cast<size_t>(part_override)
+                : ChooseJoinPartitions(std::min(lhs.size(), rhs.size()),
+                                       workers);
   }
-
-  // Single-pass shared build over the smaller input; the larger side is
-  // probed morsel-parallel so the parallelism scales with the probe work.
-  const bool build_right = rhs.size() <= lhs.size();
-  const PatchCollection& build = build_right ? rhs : lhs;
-  const PatchCollection& probe = build_right ? lhs : rhs;
-  DL_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> build_pass,
-      SideFilterPass(build, build_right ? split.right : split.left));
-  DL_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> probe_pass,
-      SideFilterPass(probe, build_right ? split.left : split.right));
-  auto probe_kept = [&](size_t i) {
-    return probe_pass.empty() || probe_pass[i] != 0;
-  };
-
-  Stopwatch build_timer;
-  HashIndex index;
-  for (size_t i = 0; i < build.size(); ++i) {
-    if (!build_pass.empty() && build_pass[i] == 0) continue;
-    const MetaValue& k = build[i].meta().Get(key);
-    // SQL equality: NULL keys never match, so they never enter the table
-    // — mirroring how Eq(attr, attr) evaluates through the expression
-    // engine (null-propagating, EvalBool → false).
-    if (k.is_null()) continue;
-    index.Insert(Slice(k.ToIndexKey()), static_cast<RowId>(i));
-  }
-  const double build_ms = build_timer.ElapsedMillis();
-
-  std::vector<PatchTuple> out;
-  uint64_t examined = 0;
-  if (build_right) {
-    // Probing with the left yields canonical order directly: left rows in
-    // input order, matches per row in lookup order.
-    DL_ASSIGN_OR_RETURN(
-        out, MorselProbeJoin(
-                 lhs.size(), split.rest, options, &examined,
-                 [&](size_t i, std::vector<RowId>* matches,
-                     PairBatcher* batcher, uint64_t* local) -> Status {
-                   if (!probe_kept(i)) return Status::OK();
-                   const MetaValue& k = lhs[i].meta().Get(key);
-                   if (k.is_null()) return Status::OK();
-                   matches->clear();
-                   index.Lookup(Slice(k.ToIndexKey()), matches);
-                   for (RowId r : *matches) {
-                     ++*local;
-                     DL_RETURN_NOT_OK(batcher->Add(
-                         Concat(lhs[i], rhs[static_cast<size_t>(r)])));
-                   }
-                   return Status::OK();
-                 }));
-  } else {
-    // Built over the left: probe with the right, collect (left, right)
-    // row-id pairs per morsel, then restore the canonical left-major
-    // order (left ascending, right ascending — lookups return insertion
-    // order) before materializing in parallel.
-    const MorselPlan plan = PlanMorsels(rhs.size(), options);
-    std::vector<std::vector<std::pair<size_t, size_t>>> pair_partials(
-        plan.num_morsels);
-    DL_RETURN_NOT_OK(DispatchMorsels(
-        rhs.size(), plan, [&](size_t m, size_t lo, size_t hi) -> Status {
-          std::vector<RowId> matches;
-          for (size_t j = lo; j < hi; ++j) {
-            if (!probe_kept(j)) continue;
-            const MetaValue& k = rhs[j].meta().Get(key);
-            if (k.is_null()) continue;
-            matches.clear();
-            index.Lookup(Slice(k.ToIndexKey()), &matches);
-            for (RowId l : matches) {
-              pair_partials[m].emplace_back(static_cast<size_t>(l), j);
-            }
-          }
-          return Status::OK();
-        }));
-    std::vector<std::pair<size_t, size_t>> pairs;
-    for (auto& partial : pair_partials) {
-      pairs.insert(pairs.end(), partial.begin(), partial.end());
-    }
-    std::sort(pairs.begin(), pairs.end());
-    examined = pairs.size();
-    DL_ASSIGN_OR_RETURN(
-        out, EmitPairsParallel(lhs, rhs, pairs, split.rest, options));
-  }
-  if (stats != nullptr) {
-    stats->pairs_examined = examined;
-    stats->tuples_emitted = out.size();
-    stats->index_build_millis = build_ms;
-  }
-  return out;
+  return RadixHashJoin(lhs, rhs, key, split, parts, stats, options);
 }
 
 // --- Ball-tree similarity ---------------------------------------------------

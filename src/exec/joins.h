@@ -9,7 +9,6 @@
 
 #include "exec/pipeline.h"
 #include "index/balltree.h"
-#include "index/hash_index.h"
 #include "index/rtree.h"
 #include "nn/device.h"
 
@@ -25,14 +24,15 @@ struct JoinStats {
   /// conjuncts).
   uint64_t pairs_examined = 0;
   uint64_t tuples_emitted = 0;
-  /// Index/table build time. On the radix path this is the per-partition
-  /// table-build phase; on the shared-build core, the single index build.
+  /// Index/table build time. For HashEqualityJoin this is the
+  /// per-partition table-build phase.
   double index_build_millis = 0.0;
-  /// Radix-only phases; all zero when the shared-build core ran.
+  /// HashEqualityJoin's other phases (zero for the other joins).
   double partition_millis = 0.0;
   double probe_millis = 0.0;
   double merge_millis = 0.0;
-  /// Partitions the radix pass fanned out to (0 = shared-build core).
+  /// Partitions HashEqualityJoin's radix pass fanned out to: at least 1
+  /// after every hash join, 0 for the other joins.
   uint64_t partitions_used = 0;
   /// max partition size / mean partition size over both inputs' non-NULL
   /// rows; 1.0 is perfectly uniform. Large values mean key skew
@@ -44,12 +44,12 @@ struct JoinStats {
 // Every join takes both inputs as materialized collections; pair
 // predicates/residuals are evaluated batch-wise through CompiledPredicate.
 //
-// The probe phases are morsel-parallel (exec/pipeline.h): any index is
-// built once, single-threaded, then probe morsels run on pool workers with
-// per-worker output batches that are merged back in probe order. Output is
-// therefore byte-identical to single-threaded execution regardless of
-// scheduling; pass MorselOptions{.num_threads = 1} to force the serial
-// core (the differential tests do).
+// The probe phases are morsel-parallel (exec/pipeline.h): an index is
+// built once (per partition for the hash join), then probe morsels run on
+// pool workers with per-worker output batches that are merged back in
+// probe order. Output is therefore byte-identical to single-threaded
+// execution regardless of scheduling; pass MorselOptions{.num_threads =
+// 1} to force a serial run (the differential tests do).
 
 /// \brief Nested-loop θ-join: every pair is tested against `predicate`.
 /// The baseline all plans are compared to (Figure 4's "no index" bars).
@@ -59,34 +59,28 @@ Result<std::vector<PatchTuple>> NestedLoopJoin(
     const ExprPtr& predicate,
     JoinStats* stats = nullptr, const MorselOptions& options = {});
 
-/// \brief Hash equality join on a metadata key. Two cores behind one
-/// interface:
-///
-/// - Radix-partitioned (the parallel path): both inputs are hashed into
-///   2^k partitions (k from worker count and build cardinality, or the
-///   DEEPLENS_JOIN_PARTITIONS override), each partition gets its own
-///   local build table with zero shared state, probes run chunk-parallel
-///   within partitions, and the output is stitched back into canonical
-///   order by a counts/prefix-sum/scatter pass keyed on the left row id —
-///   no global sort. Chosen when the morsel plan is parallel and the
-///   combined input is large enough (or the partition override is set).
-/// - Shared-build (the serial core): one single-pass HashIndex over the
-///   smaller input, morsel-parallel probe. Small joins and forced-serial
-///   runs (`MorselOptions{.num_threads = 1}`) take this path, so tiny
-///   joins never pay the partition pass.
+/// \brief Radix-partitioned hash equality join on a metadata key. Both
+/// inputs are hashed into 2^k partitions, each partition gets its own
+/// local build table with zero shared state, probes run chunk-parallel
+/// within partitions, and the output is stitched back into canonical
+/// order by a counts/prefix-sum/scatter pass keyed on the left row id —
+/// no global sort. A serial plan (`MorselOptions{.num_threads = 1}`, or
+/// a call from inside a pool worker) uses one partition; a parallel plan
+/// takes k from DEEPLENS_JOIN_PARTITIONS or from worker count and build
+/// cardinality (ChooseJoinPartitions), which drops to one partition for
+/// small builds.
 ///
 /// An optional `residual` predicate filters matched pairs. Its leading
 /// run of attr-vs-literal conjuncts on slot 0 or 1 (e.g. `a.label ==
 /// 'person' AND b.label == 'person'`) is pushed down as per-side row
-/// filters (JoinSideSplit), applied before any pair is formed: inside the
-/// radix partition pass, and while building and probing on the
-/// shared-build core. The rest runs per key-equal pair. Outputs and error
+/// filters (JoinSideSplit), applied inside the partition pass before any
+/// pair is formed. The rest runs per key-equal pair. Outputs and error
 /// statuses are those of evaluating the whole residual per pair. NULL
 /// keys never match (SQL equality, like Eq(attr, attr) through the
-/// expression engine). Output order is canonical on both cores
-/// regardless of build side — left input order, with each left row's
-/// matches in right input order — so results are byte-identical across
-/// cores, worker counts and partition counts.
+/// expression engine). Output order is canonical regardless of build
+/// side — left input order, with each left row's matches in right input
+/// order — so results are byte-identical across worker counts and
+/// partition counts.
 Result<std::vector<PatchTuple>> HashEqualityJoin(
     const PatchCollection& left, const PatchCollection& right,
     const std::string& key,

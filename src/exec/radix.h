@@ -1,12 +1,13 @@
-// Radix partitioning for the parallel equality-join and aggregation
-// paths. The partition pass hashes every row's join key once and
-// classifies it into one of 2^k partitions using the *high* bits of the
-// hash (the low bits index buckets inside the per-partition tables, so
-// using them for partition selection would leave every partition-local
-// table with a degenerate bucket distribution). Rows whose key is NULL
-// are dropped during partitioning — SQL equality semantics, identical to
-// the shared-build join core — and so are rows the join's pushed side
-// filter rejects (exec/expression.h JoinSideSplit).
+// Radix partitioning for the equality join (a serial plan runs it at one
+// partition) and the parallel aggregation path. The partition pass hashes
+// every row's join key once and classifies it into one of 2^k partitions
+// using the *high* bits of the hash (the low bits index buckets inside
+// the per-partition tables, so using them for partition selection would
+// leave every partition-local table with a degenerate bucket
+// distribution). Rows whose key is NULL
+// are dropped during partitioning — SQL equality semantics, like
+// Eq(attr, attr) through the expression engine — and so are rows the
+// join's pushed side filter rejects (exec/expression.h JoinSideSplit).
 //
 // Each partition ends up holding its rows in ascending source-row order
 // (per-morsel classification is concatenated partition-wise in morsel
@@ -55,9 +56,9 @@ inline size_t RadixPartitionOf(uint64_t hash, size_t log2_parts) {
 }
 
 /// The DEEPLENS_JOIN_PARTITIONS override (power of two, validated by
-/// PowerOfTwoFromEnv); 0 means unset → use the heuristic. An explicit
-/// override also forces the radix path below the row threshold, which is
-/// how the differential tests exercise radix at oracle-affordable sizes.
+/// PowerOfTwoFromEnv) for parallel plans; 0 means unset → use the
+/// heuristic. The differential tests use it to fan small inputs out to
+/// many partitions.
 uint64_t JoinPartitionOverride();
 
 /// Partition-count heuristic: ~4 partitions per worker rounded up to a

@@ -19,11 +19,6 @@ size_t PrefetchDepthFromEnv() {
                          kMaxPrefetchDepth, /*allow_zero=*/true));
 }
 
-std::string ViewFormatFromEnv() {
-  return ChoiceFromEnv("DEEPLENS_VIEW_FORMAT", {"columnar", "legacy"},
-                       "columnar");
-}
-
 bool ColumnarProjection::WantsMeta(const std::string& key) const {
   if (all_meta) return true;
   return std::find(meta_keys.begin(), meta_keys.end(), key) !=

@@ -29,8 +29,8 @@
 namespace deeplens {
 namespace columnar {
 
-// "DLCOLV1\n" little-endian; doubles as the format-version switch — a
-// view file starting with anything else is read as a legacy RecordStore.
+// "DLCOLV1\n" little-endian; a view file starting with anything else is
+// rejected as Corruption.
 inline constexpr uint64_t kColumnarMagic = 0x0a31564c4f434c44ull;
 inline constexpr size_t kHeaderSize = 8;
 inline constexpr size_t kTailSize = 16;  // after footer: len + crc + magic
@@ -57,10 +57,6 @@ inline constexpr size_t kMaxChunkRows = 65536;
 size_t PrefetchDepthFromEnv();
 inline constexpr size_t kDefaultPrefetchDepth = 4;
 inline constexpr size_t kMaxPrefetchDepth = 64;
-
-/// DEEPLENS_VIEW_FORMAT: format for newly created view files,
-/// "columnar" (default) or "legacy". Existing files keep their format.
-std::string ViewFormatFromEnv();
 
 /// Per-column zone map: enough footer-resident state to decide
 /// ChunkMayMatch without touching the chunk.

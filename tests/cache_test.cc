@@ -461,8 +461,11 @@ TEST(EnvKnobTest, ChoiceKnobMatchesCaseInsensitivelyAndRejectsGarbage) {
   EXPECT_EQ(ChoiceFromEnv("DEEPLENS_TEST_KNOB", {"aa", "bb"}, "aa"), "aa");
   guard.Set("bb");
   EXPECT_EQ(ChoiceFromEnv("DEEPLENS_TEST_KNOB", {"aa", "bb"}, "aa"), "bb");
-  guard.Set("BB");  // canonical lowercase spelling comes back
-  EXPECT_EQ(ChoiceFromEnv("DEEPLENS_TEST_KNOB", {"aa", "bb"}, "aa"), "bb");
+  for (const char* mixed : {"BB", "Bb"}) {  // canonical spelling comes back
+    guard.Set(mixed);
+    EXPECT_EQ(ChoiceFromEnv("DEEPLENS_TEST_KNOB", {"aa", "bb"}, "aa"), "bb")
+        << "value: '" << mixed << "'";
+  }
   for (const char* bad : {"", " ", "cc", "bb ", " bb", "b", "aabb"}) {
     guard.Set(bad);
     EXPECT_EQ(ChoiceFromEnv("DEEPLENS_TEST_KNOB", {"aa", "bb"}, "aa"), "aa")

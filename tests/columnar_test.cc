@@ -1,7 +1,8 @@
 // Unit tests for storage/columnar/: stream-vbyte codec framing, the
-// chunked writer/reader round-trip (byte-identical to the legacy
-// RecordStore format across randomized, NULL-heavy, empty, and one-chunk
-// views), zone-map pruning equivalence against unpruned scans, torn-tail
+// chunked writer/reader round-trip (byte-identical to a resident
+// last-write-wins oracle across randomized, NULL-heavy, empty, one-chunk
+// and out-of-order/overwritten views), rejection of pre-columnar view
+// files, zone-map pruning equivalence against unpruned scans, torn-tail
 // and corrupt-chunk recovery to typed Corruption, and the async
 // decode-ahead loader (concurrent readers, byte budget, depth knob).
 #include <gtest/gtest.h>
@@ -10,8 +11,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <thread>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "core/database.h"
 #include "core/planner.h"
@@ -21,6 +25,7 @@
 #include "storage/columnar/columnar_file.h"
 #include "storage/columnar/encoding.h"
 #include "storage/columnar/format.h"
+#include "storage/record_store.h"
 
 namespace deeplens {
 namespace {
@@ -37,7 +42,6 @@ class ColumnarTest : public ::testing::Test {
   void TearDown() override {
     unsetenv("DEEPLENS_COLUMNAR_CHUNK_ROWS");
     unsetenv("DEEPLENS_PREFETCH_DEPTH");
-    unsetenv("DEEPLENS_VIEW_FORMAT");
     std::filesystem::remove_all(dir_);
   }
 
@@ -266,34 +270,36 @@ TEST_F(ColumnarTest, EmptyFileIsValidAndEmpty) {
   EXPECT_TRUE(reader->ReadAll().value().empty());
 }
 
-// --- Differential vs legacy format ----------------------------------------
+// --- Differential vs a resident oracle -------------------------------------
 
-TEST_F(ColumnarTest, DifferentialAgainstLegacyRandomized) {
+// What a view must hold after `appended` went through Append in order:
+// one row per id, ascending, the last write of each id winning.
+PatchCollection ResidentOracle(const PatchCollection& appended) {
+  std::map<PatchId, Patch> by_id;
+  for (const Patch& p : appended) by_id[p.id()] = p;
+  PatchCollection out;
+  out.reserve(by_id.size());
+  for (auto& [id, p] : by_id) out.push_back(std::move(p));
+  return out;
+}
+
+TEST_F(ColumnarTest, DifferentialAgainstResidentOracleRandomized) {
+  setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "32", 1);
   for (uint64_t seed : {3u, 17u, 99u}) {
     const PatchCollection patches = RandomPatches(211, seed);
-    auto legacy = MaterializedView::Open(Path("legacy_" + std::to_string(seed)),
-                                         MaterializedView::Format::kLegacy)
-                      .value();
-    setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "32", 1);
-    auto col = MaterializedView::Open(Path("col_" + std::to_string(seed)),
-                                      MaterializedView::Format::kColumnar)
+    auto col = MaterializedView::Open(Path("col_" + std::to_string(seed)))
                    .value();
-    ASSERT_EQ(legacy->format(), MaterializedView::Format::kLegacy);
-    ASSERT_EQ(col->format(), MaterializedView::Format::kColumnar);
-    for (const Patch& p : patches) {
-      ASSERT_TRUE(legacy->Append(p).ok());
-      ASSERT_TRUE(col->Append(p).ok());
-    }
-    ASSERT_TRUE(legacy->Flush().ok());
+    for (const Patch& p : patches) ASSERT_TRUE(col->Append(p).ok());
     ASSERT_TRUE(col->Flush().ok());
-    EXPECT_EQ(col->size(), legacy->size());
-    ExpectSamePatches(col->LoadAll().value(), legacy->LoadAll().value());
+    const PatchCollection expected = ResidentOracle(patches);
+    EXPECT_EQ(col->size(), expected.size());
+    ExpectSamePatches(col->LoadAll().value(), expected);
   }
 }
 
 TEST_F(ColumnarTest, DifferentialEdgeCases) {
-  // Empty view, single-chunk view, and NULL-heavy view must all agree
-  // with the legacy format row for row.
+  // Empty view, single-chunk view, and NULL-heavy view must all match
+  // the resident oracle row for row.
   const struct {
     const char* name;
     PatchCollection patches;
@@ -303,54 +309,77 @@ TEST_F(ColumnarTest, DifferentialEdgeCases) {
       {"null_heavy", RandomPatches(150, 6, /*null_heavy=*/true)},
   };
   for (const auto& c : kCases) {
-    auto legacy =
-        MaterializedView::Open(Path(std::string("l_") + c.name),
-                               MaterializedView::Format::kLegacy)
-            .value();
-    auto col = MaterializedView::Open(Path(std::string("c_") + c.name),
-                                      MaterializedView::Format::kColumnar)
+    auto col = MaterializedView::Open(Path(std::string("c_") + c.name))
                    .value();
-    for (const Patch& p : c.patches) {
-      ASSERT_TRUE(legacy->Append(p).ok());
-      ASSERT_TRUE(col->Append(p).ok());
-    }
-    ASSERT_TRUE(legacy->Flush().ok());
+    for (const Patch& p : c.patches) ASSERT_TRUE(col->Append(p).ok());
     ASSERT_TRUE(col->Flush().ok());
-    ExpectSamePatches(col->LoadAll().value(), legacy->LoadAll().value());
+    ExpectSamePatches(col->LoadAll().value(), ResidentOracle(c.patches));
   }
 }
 
-TEST_F(ColumnarTest, OutOfOrderAndOverwritingAppendsMatchLegacy) {
+TEST_F(ColumnarTest, OutOfOrderAndOverwritingAppendsMatchOracle) {
   setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "16", 1);
-  auto legacy = MaterializedView::Open(Path("legacy"),
-                                       MaterializedView::Format::kLegacy)
-                    .value();
-  auto col = MaterializedView::Open(Path("col"),
-                                    MaterializedView::Format::kColumnar)
-                 .value();
+  auto col = MaterializedView::Open(Path("col")).value();
   Rng rng(123);
+  PatchCollection appended;
   // Shuffled ids, then overwrite a third of them with fresh content.
   std::vector<PatchId> ids;
   for (PatchId id = 1; id <= 90; ++id) ids.push_back(id);
   for (size_t i = ids.size(); i > 1; --i) {
     std::swap(ids[i - 1], ids[rng.NextU64Below(i)]);
   }
-  for (PatchId id : ids) {
-    const Patch p = RandomPatch(id, &rng);
-    ASSERT_TRUE(legacy->Append(p).ok());
-    ASSERT_TRUE(col->Append(p).ok());
-  }
+  for (PatchId id : ids) appended.push_back(RandomPatch(id, &rng));
   for (PatchId id = 2; id <= 90; id += 3) {
-    const Patch p = RandomPatch(id, &rng);
-    ASSERT_TRUE(legacy->Append(p).ok());
-    ASSERT_TRUE(col->Append(p).ok());
+    appended.push_back(RandomPatch(id, &rng));
   }
-  ASSERT_TRUE(legacy->Flush().ok());
+  for (const Patch& p : appended) ASSERT_TRUE(col->Append(p).ok());
   ASSERT_TRUE(col->Flush().ok());
-  ExpectSamePatches(col->LoadAll().value(), legacy->LoadAll().value());
+  ExpectSamePatches(col->LoadAll().value(), ResidentOracle(appended));
   // The merge-rewrite must leave a clean strictly-ascending file behind.
   auto reader = col->OpenReader().value();
   EXPECT_EQ(reader->total_rows(), 90u);
+}
+
+// --- Pre-columnar view files -------------------------------------------------
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST_F(ColumnarTest, RecordStoreLogAtViewPathIsRejectedUntouched) {
+  // A view file in the pre-columnar RecordStore log format must fail to
+  // open with a typed error on every entry point, and none of them may
+  // rewrite or append to it.
+  auto db = Database::Open(Path("db")).value();
+  const std::string view_path = db->root() + "/views/old";
+  {
+    auto store = RecordStore::Open(view_path).value();
+    for (const Patch& p : RandomPatches(12, 8)) {
+      ByteBuffer buf;
+      p.SerializeInto(&buf);
+      ASSERT_TRUE(
+          store->Put(Slice(EncodeKeyU64(p.id())), buf.AsSlice()).ok());
+    }
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  const std::string before = FileBytes(view_path);
+  ASSERT_GT(before.size(), columnar::kHeaderSize);
+
+  auto opened = MaterializedView::Open(view_path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(FileBytes(view_path), before);
+
+  const Status attached = db->AttachPersistedView("old");
+  EXPECT_FALSE(attached.ok());
+  EXPECT_EQ(FileBytes(view_path), before);
+
+  const Status loaded = db->LoadPersistedView("old");
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(FileBytes(view_path), before);
+  EXPECT_FALSE(db->GetView("old").ok());
 }
 
 // --- Zone-map pruning vs unpruned scans ------------------------------------
@@ -608,9 +637,7 @@ TEST_F(ColumnarTest, GarbageFileIsTypedCorruption) {
 TEST_F(ColumnarTest, ConcurrentPrefetchScansAreDeterministic) {
   setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "16", 1);
   const PatchCollection patches = RandomPatches(160, 21);
-  auto view = MaterializedView::Open(Path("v"),
-                                     MaterializedView::Format::kColumnar)
-                  .value();
+  auto view = MaterializedView::Open(Path("v")).value();
   for (const Patch& p : patches) ASSERT_TRUE(view->Append(p).ok());
   ASSERT_TRUE(view->Flush().ok());
   auto reader = view->OpenReader().value();

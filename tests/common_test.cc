@@ -569,14 +569,13 @@ TEST_F(ServingKnobTest, BatchWaitUsMatrix) {
 // --- Columnar storage knobs ----------------------------------------------
 // The chunk-size and prefetch knobs size buffers directly, so a garbage
 // value must fall back, never size a zero-row chunk or an unbounded
-// queue. The format choice knob is closed-set with case-folding.
+// queue.
 
 class ColumnarKnobTest : public ::testing::Test {
  protected:
   void TearDown() override {
     unsetenv("DEEPLENS_COLUMNAR_CHUNK_ROWS");
     unsetenv("DEEPLENS_PREFETCH_DEPTH");
-    unsetenv("DEEPLENS_VIEW_FORMAT");
   }
 };
 
@@ -627,28 +626,6 @@ TEST_F(ColumnarKnobTest, PrefetchDepthMatrix) {
   unsetenv("DEEPLENS_PREFETCH_DEPTH");
   EXPECT_EQ(columnar::PrefetchDepthFromEnv(),
             columnar::kDefaultPrefetchDepth);
-}
-
-TEST_F(ColumnarKnobTest, ViewFormatMatrix) {
-  const struct {
-    const char* value;
-    const char* expected;
-  } kCases[] = {
-      {"columnar", "columnar"},
-      {"legacy", "legacy"},
-      {"LEGACY", "legacy"},    // case-insensitive, canonical returned
-      {"Columnar", "columnar"},
-      {"parquet", "columnar"},  // outside the closed set -> default
-      {"", "columnar"},
-      {"legacy ", "columnar"},  // trailing space is not a match
-  };
-  for (const auto& c : kCases) {
-    setenv("DEEPLENS_VIEW_FORMAT", c.value, 1);
-    EXPECT_EQ(columnar::ViewFormatFromEnv(), c.expected)
-        << "value='" << c.value << "'";
-  }
-  unsetenv("DEEPLENS_VIEW_FORMAT");
-  EXPECT_EQ(columnar::ViewFormatFromEnv(), "columnar");
 }
 
 // --- Optimizer knobs ------------------------------------------------------

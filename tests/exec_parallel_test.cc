@@ -21,6 +21,7 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/planner.h"
 #include "exec/aggregates.h"
@@ -29,6 +30,7 @@
 #include "exec/joins.h"
 #include "exec/operators.h"
 #include "exec/pipeline.h"
+#include "exec/radix.h"
 
 namespace deeplens {
 namespace {
@@ -272,10 +274,10 @@ class EnvGuard {
 };
 
 TEST(RadixHashJoinTest, EnvForcedRadixMatchesOracleAcrossPartitionEdges) {
-  // DEEPLENS_JOIN_PARTITIONS forces the radix core onto inputs far below
-  // its natural row threshold, so the oracle stays affordable. Partition
-  // counts cover the degenerate edges: 1 (everything in one partition)
-  // and 256 (more partitions than rows — most partitions empty).
+  // DEEPLENS_JOIN_PARTITIONS fans inputs small enough for the oracle out
+  // to a pinned partition count. Partition counts cover the degenerate
+  // edges: 1 (everything in one partition) and 256 (more partitions than
+  // rows — most partitions empty).
   struct Variant {
     const char* label;
     InputSpec spec;
@@ -331,36 +333,62 @@ TEST(RadixHashJoinTest, EnvForcedRadixMatchesOracleAcrossPartitionEdges) {
   }
 }
 
-TEST(RadixHashJoinTest, NaturalThresholdMatchesSerialCore) {
-  // Above kRadixMinRows combined input the radix core engages without the
-  // env override; the serial core (oracle-validated above) is the
-  // reference. Skew concentrates ~half of each side on one key.
+TEST(RadixHashJoinTest, SerialAndInWorkerPlansUseOnePartition) {
+  // Without the env override a serial plan, and a join started from
+  // inside a pool worker, both run the radix core at one partition; a
+  // parallel plan fans out by the heuristic. All three must equal the
+  // Volcano oracle. Skew concentrates ~half of each side on one key.
+  EnvGuard guard("DEEPLENS_JOIN_PARTITIONS");
+  ::unsetenv("DEEPLENS_JOIN_PARTITIONS");
   InputSpec spec;
   spec.seed = 4242;
-  spec.n = 3000;
+  spec.n = 600;
   spec.num_keys = 64;
   spec.skew = 0.5;
   spec.null_fraction = 0.1;
   const PatchCollection lhs = MakeInput(spec);
   spec.seed = 4243;
-  spec.n = 1500;
+  spec.n = 300;
   const PatchCollection rhs = MakeInput(spec);
   const ExprPtr residual = JoinResidual(1);
+  auto expected =
+      OracleJoin(lhs, rhs, And(Eq(Attr(0, "k"), Attr(1, "k")), residual));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   MorselOptions serial;
   serial.num_threads = 1;
   JoinStats serial_stats;
   auto serial_out =
       HashEqualityJoin(lhs, rhs, "k", residual, &serial_stats, serial);
-  ASSERT_TRUE(serial_out.ok());
-  EXPECT_EQ(serial_stats.partitions_used, 0u) << "serial plan must not radix";
+  ASSERT_TRUE(serial_out.ok()) << serial_out.status().ToString();
+  EXPECT_EQ(BytesOf(*serial_out), BytesOf(*expected));
+  EXPECT_EQ(serial_stats.partitions_used, 1u);
+  EXPECT_EQ(serial_stats.tuples_emitted, expected->size());
 
+  JoinStats worker_stats;
+  Result<std::vector<PatchTuple>> worker_out =
+      Status::Internal("join did not run");
+  ThreadPool::Global()
+      .Submit([&] {
+        worker_out = HashEqualityJoin(lhs, rhs, "k", residual, &worker_stats);
+      })
+      .get();
+  ASSERT_TRUE(worker_out.ok()) << worker_out.status().ToString();
+  EXPECT_EQ(BytesOf(*worker_out), BytesOf(*expected));
+  EXPECT_EQ(worker_stats.partitions_used, 1u);
+
+  MorselOptions parallel;
+  parallel.num_threads = 4;
   JoinStats stats;
-  auto radix_out = HashEqualityJoin(lhs, rhs, "k", residual, &stats);
-  ASSERT_TRUE(radix_out.ok());
-  EXPECT_EQ(BytesOf(*radix_out), BytesOf(*serial_out));
-  EXPECT_GT(stats.partitions_used, 0u)
-      << "combined input above threshold must take the radix core";
+  auto parallel_out =
+      HashEqualityJoin(lhs, rhs, "k", residual, &stats, parallel);
+  ASSERT_TRUE(parallel_out.ok()) << parallel_out.status().ToString();
+  EXPECT_EQ(BytesOf(*parallel_out), BytesOf(*expected));
+  const size_t workers = ResolveMorselWorkers(parallel);
+  if (workers > 1) {  // a one-worker pool makes every plan serial
+    EXPECT_EQ(stats.partitions_used, ChooseJoinPartitions(rhs.size(), workers));
+    EXPECT_GT(stats.partitions_used, 1u);
+  }
   EXPECT_GE(stats.max_partition_skew, 1.0);
 }
 
@@ -418,10 +446,10 @@ TEST(SignedZeroKeyTest, HashJoinMatchesNestedLoopOracle) {
   MorselOptions serial;
   serial.num_threads = 1;
   for (const MorselOptions& options : {serial, MorselOptions{}}) {
-    auto shared_build =
+    auto heuristic =
         HashEqualityJoin(rows, rows, "k", nullptr, nullptr, options);
-    ASSERT_TRUE(shared_build.ok()) << shared_build.status().ToString();
-    EXPECT_EQ(BytesOf(*shared_build), BytesOf(*expected))
+    ASSERT_TRUE(heuristic.ok()) << heuristic.status().ToString();
+    EXPECT_EQ(BytesOf(*heuristic), BytesOf(*expected))
         << "threads " << options.num_threads;
   }
   EnvGuard guard("DEEPLENS_JOIN_PARTITIONS");
@@ -541,8 +569,8 @@ ExprPtr AndAll(const std::vector<PushConjunct>& conjuncts, size_t n) {
 
 TEST(JoinPushdownTest, SideFiltersMatchNestedLoopOracleIncludingErrors) {
   // Randomized residuals mixing pushable and non-pushable conjuncts in
-  // every order, on both cores (radix forced by the partition override,
-  // shared-build otherwise) at 1, 2 and 4 workers, for distinct inputs
+  // every order, at the heuristic partition count and at 4 forced
+  // partitions, at 1, 2 and 4 workers, for distinct inputs
   // and for a self-join over one collection. Outputs — or the error
   // status — must equal the nested-loop oracle, and pairs_examined must
   // count exactly the key-equal pairs that pass the leading pushable run.
