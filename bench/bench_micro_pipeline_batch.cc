@@ -1,9 +1,9 @@
-// Microbenchmark: tuple-at-a-time Volcano pipeline vs. batch-at-a-time
-// execution vs. the morsel-parallel driver, on (1) a filter+map pipeline
-// over a 100k-patch synthetic view and (2) a hash join + group-by
-// aggregate, serial vs. morsel-parallel. Results are checked for equality
-// across engines before timing is reported, and all timings are emitted
-// to BENCH_pipeline.json for the perf trajectory.
+// Microbenchmark: the tuple-at-a-time streaming operators vs. the morsel
+// driver (serial and parallel), on (1) a filter+map pipeline over a
+// 100k-patch synthetic view and (2) a hash join + group-by aggregate,
+// serial vs. morsel-parallel. Results are checked for equality across
+// engines before timing is reported, and all timings are emitted to
+// BENCH_pipeline.json for the perf trajectory.
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -21,7 +21,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "exec/aggregates.h"
-#include "exec/batch.h"
 #include "exec/batch_former.h"
 #include "exec/expression.h"
 #include "exec/joins.h"
@@ -184,16 +183,16 @@ int Run() {
   std::printf("workers: %zu, batch size: %zu\n\n",
               ThreadPool::Global().num_threads(), kDefaultBatchSize);
 
-  // 1. Tuple-at-a-time Volcano pipeline (the pre-refactor engine).
+  // 1. Tuple-at-a-time streaming operators (exec/operators.h).
   const Timing tuple_t = Measure([&]() {
-    auto plan = MakeVolcanoMap(
-        MakeVolcanoFilter(MakeVectorSource(view), predicate), Annotate);
+    auto plan =
+        MakeMap(MakeFilter(MakeVectorSource(view), predicate), Annotate);
     auto out = CollectPatches(plan.get());
     DL_CHECK_OK(out.status());
     return std::move(out).value();
   });
 
-  // 2. Batch-at-a-time, serial (vectorized operators, one thread).
+  // 2. Morsel driver, serial (one thread, one morsel per stage pass).
   const Timing batch_t = Measure([&]() {
     BatchPipeline pipeline;
     pipeline.Filter(predicate).Map(Annotate);
@@ -204,7 +203,7 @@ int Run() {
     return std::move(out).value();
   });
 
-  // 3. Batch + morsel-parallel. Worker counts are pinned per case (the
+  // 3. Morsel driver, parallel. Worker counts are pinned per case (the
   // pool may be wider) so recorded timings stay comparable across
   // machines and pool configurations.
   MorselOptions two_workers;
@@ -241,7 +240,7 @@ int Run() {
   std::printf("%-24s %10.2f %14.0f %8.2fx\n", "batch+parallel",
               parallel_t.best_ms, par_rate, par_rate / tuple_rate);
   std::printf("\nselected rows: %" PRIu64 " (%.1f%%), identical across all "
-              "three engines\n",
+              "three runs\n",
               tuple_t.rows_out,
               100.0 * static_cast<double>(tuple_t.rows_out) /
                   static_cast<double>(n));

@@ -25,7 +25,8 @@
 #                        point (e.g. `test` needs a configured+built
 #                        tree); tsan/asan configure their own build dirs
 #                        and are self-contained.
-# A per-stage timing summary is printed at the end; the first failing
+# A per-stage timing summary and the line totals of the tracked *.cc/*.h
+# files under src/ and tests/ are printed at the end; the first failing
 # stage aborts the pipeline with its name on stderr.
 # -E so the ERR trap fires inside stage functions too (a plain `if !
 # stage_x` guard would suppress errexit within the function and let a
@@ -173,6 +174,17 @@ print_summary() {
   for i in "${!RAN_NAMES[@]}"; do
     printf '  %-10s %5ss\n' "${RAN_NAMES[$i]}" "${RAN_SECS[$i]}"
   done
+  # Net lines removed is a reported metric: print the size of the tracked
+  # C++ sources so a change's delta reads off two summaries.
+  if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    echo
+    echo "=== tracked *.cc/*.h lines ==="
+    local dir
+    for dir in src tests; do
+      printf '  %-10s %6s\n' "${dir}/" "$(git ls-files -z -- "${dir}/*.cc" \
+        "${dir}/*.h" | xargs -0 cat | wc -l)"
+    done
+  fi
 }
 
 for stage in $STAGES; do

@@ -186,20 +186,16 @@ Status Database::RegisterView(const std::string& name,
   view.columnar.reset();
   view.hash_indexes.clear();
   view.btree_indexes.clear();
+  view.nan_index_keys.clear();
   view.feature_index.reset();
   view.bbox_index.reset();
   view.version = NextViewVersion();
   return Status::OK();
 }
 
-Status Database::RegisterView(const std::string& name, BatchIterator* it) {
-  DL_ASSIGN_OR_RETURN(PatchCollection patches, CollectBatchPatches(it));
-  return RegisterView(name, std::move(patches));
-}
-
 Status Database::RegisterView(const std::string& name, PatchIterator* it) {
-  auto batched = TupleToBatch(it);
-  return RegisterView(name, batched.get());
+  DL_ASSIGN_OR_RETURN(PatchCollection patches, CollectPatches(it));
+  return RegisterView(name, std::move(patches));
 }
 
 Result<ViewCache*> Database::GetView(const std::string& name) {
@@ -244,6 +240,7 @@ Status Database::AttachPersistedView(const std::string& name) {
   view.columnar = std::move(reader);
   view.hash_indexes.clear();
   view.btree_indexes.clear();
+  view.nan_index_keys.clear();
   view.feature_index.reset();
   view.bbox_index.reset();
   view.version = NextViewVersion();
@@ -256,18 +253,29 @@ Result<IndexStats> Database::BuildIndex(const std::string& view_name,
   DL_ASSIGN_OR_RETURN(ViewCache * view, GetView(view_name));
   Stopwatch timer;
   IndexStats stats;
+  // The hash and B+tree builds: insert every row's encoded key, and note
+  // whether one of them is a NaN.
+  auto fill_key_index = [&](auto* index) {
+    bool has_nan = false;
+    for (size_t i = 0; i < view->patches.size(); ++i) {
+      const MetaValue& key = view->patches[i].meta().Get(meta_key);
+      has_nan = has_nan || IsUnorderedValue(key);
+      index->Insert(Slice(key.ToIndexKey()), static_cast<RowId>(i));
+    }
+    if (has_nan) {
+      view->nan_index_keys.insert(meta_key);
+    } else {
+      view->nan_index_keys.erase(meta_key);
+    }
+    stats = index->Stats();
+  };
   switch (kind) {
     case IndexKind::kHash: {
       if (meta_key.empty()) {
         return Status::InvalidArgument("hash index needs a meta key");
       }
       HashIndex index;
-      for (size_t i = 0; i < view->patches.size(); ++i) {
-        index.Insert(
-            Slice(view->patches[i].meta().Get(meta_key).ToIndexKey()),
-            static_cast<RowId>(i));
-      }
-      stats = index.Stats();
+      fill_key_index(&index);
       view->hash_indexes[meta_key] = std::move(index);
       break;
     }
@@ -276,12 +284,7 @@ Result<IndexStats> Database::BuildIndex(const std::string& view_name,
         return Status::InvalidArgument("b+tree index needs a meta key");
       }
       BPlusTree index;
-      for (size_t i = 0; i < view->patches.size(); ++i) {
-        index.Insert(
-            Slice(view->patches[i].meta().Get(meta_key).ToIndexKey()),
-            static_cast<RowId>(i));
-      }
-      stats = index.Stats();
+      fill_key_index(&index);
       view->btree_indexes[meta_key] = std::move(index);
       break;
     }
@@ -342,6 +345,7 @@ Status Database::DropIndexes(const std::string& view_name) {
   DL_ASSIGN_OR_RETURN(ViewCache * view, GetView(view_name));
   view->hash_indexes.clear();
   view->btree_indexes.clear();
+  view->nan_index_keys.clear();
   view->feature_index.reset();
   view->bbox_index.reset();
   // Index availability shapes plans, so a memoized plan for the old

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,10 @@ struct ViewCache {
   std::shared_ptr<columnar::ColumnarReader> columnar;  // disk-backed scan
   std::map<std::string, HashIndex> hash_indexes;     // by meta key
   std::map<std::string, BPlusTree> btree_indexes;    // by meta key
+  /// Meta keys whose hash or B+tree index received a NaN key. A stored
+  /// NaN compares equal to every number but encodes above +inf, so no
+  /// probe of such an index finds it: the planner full-scans instead.
+  std::set<std::string> nan_index_keys;
   std::unique_ptr<BallTree> feature_index;           // over features
   std::unique_ptr<RTree> bbox_index;                 // over bboxes
 
@@ -156,11 +161,7 @@ class Database {
   /// previous content and its indexes).
   Status RegisterView(const std::string& name, PatchCollection patches);
 
-  /// Drains a batch iterator into view `name` (the native path).
-  Status RegisterView(const std::string& name, BatchIterator* it);
-
-  /// Drains a tuple iterator into view `name` by batching it through the
-  /// vectorized engine.
+  /// Drains a tuple iterator of 1-tuples into view `name`.
   Status RegisterView(const std::string& name, PatchIterator* it);
 
   /// Fetches a view; NotFound if absent.

@@ -674,13 +674,19 @@ namespace {
 // fetch; strict bounds widen to inclusive ones and the compiled predicate
 // re-checks every candidate. A NaN literal never narrows a probe (it
 // compares equal to every number): with no other bound on the key the
-// plan falls back to a full scan, recorded in `plan`.
+// plan falls back to a full scan, recorded in `plan`. So does a probe of
+// an index holding a stored NaN key, which no probe would find.
 bool CollectIndexCandidates(const ViewCache& view, const ExprPtr& predicate,
                             PlanExplanation* plan,
                             std::vector<RowId>* candidates) {
   if (plan->path != AccessPath::kHashLookup &&
       plan->path != AccessPath::kBTreeLookup &&
       plan->path != AccessPath::kBTreeRange) {
+    return false;
+  }
+  if (view.nan_index_keys.count(plan->index_key) != 0) {
+    plan->path = AccessPath::kFullScan;
+    plan->description += "; index holds a NaN key, full scan";
     return false;
   }
   std::vector<ExprPtr> conjuncts;

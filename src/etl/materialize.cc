@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 
 #include "storage/columnar/async_loader.h"
 #include "storage/file_io.h"
@@ -87,25 +88,18 @@ Status MaterializedView::SyncColumnar() const {
   return Status::OK();
 }
 
-Result<uint64_t> MaterializedView::Write(BatchIterator* it) {
+Result<uint64_t> MaterializedView::Write(PatchIterator* it) {
   uint64_t written = 0;
   while (true) {
-    DL_ASSIGN_OR_RETURN(auto batch, it->Next());
-    if (!batch.has_value()) break;
-    for (const PatchTuple& tuple : batch->tuples) {
-      for (const Patch& p : tuple) {
-        DL_RETURN_NOT_OK(Append(p));
-        ++written;
-      }
+    DL_ASSIGN_OR_RETURN(auto tuple, it->Next());
+    if (!tuple.has_value()) break;
+    for (const Patch& p : *tuple) {
+      DL_RETURN_NOT_OK(Append(p));
+      ++written;
     }
   }
   DL_RETURN_NOT_OK(Flush());
   return written;
-}
-
-Result<uint64_t> MaterializedView::Write(PatchIterator* it) {
-  auto batched = TupleToBatch(it);
-  return Write(batched.get());
 }
 
 Result<PatchCollection> MaterializedView::LoadAll() const {
@@ -122,68 +116,47 @@ MaterializedView::OpenReader() const {
 
 namespace {
 
-// Emits a load error on every Next(), matching the pre-batch generator.
-class FailedScan : public BatchIterator {
+// Streams a columnar file row-at-a-time through the decode-ahead loader,
+// popping rows off the current decoded chunk. The loader owns the reader
+// snapshot, so the scan survives the view and never sees later appends.
+class ColumnarScan : public PatchIterator {
  public:
-  explicit FailedScan(Status status) : status_(std::move(status)) {}
-  Result<std::optional<PatchBatch>> Next() override { return status_; }
-
- private:
-  Status status_;
-};
-
-// Streams a columnar file batch-at-a-time through the decode-ahead
-// loader. Owns its reader snapshot, so it is self-contained: it survives
-// the view and never sees later appends.
-class ColumnarBatchScan : public BatchIterator {
- public:
-  ColumnarBatchScan(std::shared_ptr<const columnar::ColumnarReader> reader,
-                    size_t batch_size)
-      : reader_(reader), batch_size_(batch_size == 0 ? 1 : batch_size) {
+  explicit ColumnarScan(
+      std::shared_ptr<const columnar::ColumnarReader> reader) {
     std::vector<size_t> all_chunks(reader->num_chunks());
-    for (size_t i = 0; i < all_chunks.size(); ++i) all_chunks[i] = i;
+    std::iota(all_chunks.begin(), all_chunks.end(), size_t{0});
     loader_ = std::make_unique<columnar::AsyncChunkLoader>(
         std::move(reader), std::move(all_chunks),
         columnar::ChunkReadOptions{});
   }
 
-  Result<std::optional<PatchBatch>> Next() override {
-    PatchBatch batch;
-    batch.reserve(batch_size_);
-    while (batch.size() < batch_size_) {
-      if (pos_ >= buffer_.size()) {
-        DL_ASSIGN_OR_RETURN(auto rows, loader_->Next());
-        if (!rows.has_value()) break;
-        buffer_ = std::move(*rows);
-        pos_ = 0;
-        continue;  // chunk may be empty under a row filter
-      }
-      batch.tuples.push_back(PatchTuple{std::move(buffer_[pos_])});
-      ++pos_;
+  Result<std::optional<PatchTuple>> Next() override {
+    while (pos_ >= chunk_.size()) {
+      DL_ASSIGN_OR_RETURN(auto rows, loader_->Next());
+      if (!rows.has_value()) return std::optional<PatchTuple>();
+      chunk_ = std::move(*rows);
+      pos_ = 0;
     }
-    if (batch.empty()) return std::optional<PatchBatch>{};
-    return std::optional<PatchBatch>(std::move(batch));
+    return std::optional<PatchTuple>(PatchTuple{std::move(chunk_[pos_++])});
   }
 
  private:
-  std::shared_ptr<const columnar::ColumnarReader> reader_;
   std::unique_ptr<columnar::AsyncChunkLoader> loader_;
-  PatchCollection buffer_;
+  PatchCollection chunk_;
   size_t pos_ = 0;
-  size_t batch_size_;
 };
 
 }  // namespace
 
-BatchIteratorPtr MaterializedView::ScanBatches(size_t batch_size) const {
-  auto reader = OpenReader();
-  if (!reader.ok()) return std::make_unique<FailedScan>(reader.status());
-  return std::make_unique<ColumnarBatchScan>(std::move(reader).value(),
-                                             batch_size);
-}
-
 PatchIteratorPtr MaterializedView::Scan() const {
-  return BatchToTuple(ScanBatches());
+  auto reader = OpenReader();
+  if (!reader.ok()) {
+    return MakeGeneratorSource(
+        [status = reader.status()]() -> Result<std::optional<PatchTuple>> {
+          return status;
+        });
+  }
+  return std::make_unique<ColumnarScan>(std::move(reader).value());
 }
 
 uint64_t MaterializedView::size() const {

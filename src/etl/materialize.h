@@ -4,10 +4,12 @@
 // of §7.2.
 //
 // Views are stored in the chunked columnar format (storage/columnar/).
-// OpenReader() hands the planner a footer snapshot, so scans get zone-map
-// pruning, projection pushdown and async decode-ahead instead of a full
-// materialize. A file in any other format (e.g. a pre-columnar RecordStore
-// log) fails to open with the reader's typed Corruption and is left as is.
+// Write() drains and Scan() yields the streaming PatchIterator
+// (exec/operators.h); OpenReader() hands the planner a footer snapshot,
+// so scans get zone-map pruning, projection pushdown and async
+// decode-ahead instead of a full materialize. A file in any other format
+// (e.g. a pre-columnar RecordStore log) fails to open with the reader's
+// typed Corruption and is left as is.
 #pragma once
 
 #include <map>
@@ -15,7 +17,6 @@
 #include <string>
 
 #include "core/patch.h"
-#include "exec/batch.h"
 #include "exec/operators.h"
 #include "storage/columnar/columnar_file.h"
 
@@ -31,11 +32,8 @@ class MaterializedView {
   static Result<std::unique_ptr<MaterializedView>> Open(
       const std::string& path);
 
-  /// Drains a batch iterator into the store (the native path). Returns
-  /// the number of patches written.
-  Result<uint64_t> Write(BatchIterator* it);
-
-  /// Drains a tuple iterator by batching it through the vectorized engine.
+  /// Drains a tuple iterator into the store and flushes. Returns the
+  /// number of patches written.
   Result<uint64_t> Write(PatchIterator* it);
 
   /// Appends a single patch (buffered until Flush/scan when it arrives
@@ -45,13 +43,11 @@ class MaterializedView {
   /// Loads every stored patch (ordered by id).
   Result<PatchCollection> LoadAll() const;
 
-  /// Batch source over the stored patches. The iterator is a snapshot
-  /// taken at call time: it survives the view and never sees later
-  /// appends. It streams chunk-at-a-time through the async decode-ahead
-  /// loader instead of materializing everything eagerly.
-  BatchIteratorPtr ScanBatches(size_t batch_size = kDefaultBatchSize) const;
-
-  /// Tuple source over the stored patches (adapter over ScanBatches).
+  /// Tuple source over the stored patches, in id order. The iterator is a
+  /// snapshot taken at call time: it survives the view and never sees
+  /// later appends. It streams chunk-at-a-time through the async
+  /// decode-ahead loader instead of materializing everything eagerly. If
+  /// the file cannot be opened, every Next() returns the open error.
   PatchIteratorPtr Scan() const;
 
   /// A footer snapshot handle for planner-side chunk-pruned scans.

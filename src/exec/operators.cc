@@ -1,9 +1,5 @@
 #include "exec/operators.h"
 
-#include <algorithm>
-
-#include "exec/batch.h"
-
 namespace deeplens {
 
 namespace {
@@ -36,11 +32,9 @@ class GeneratorSource : public PatchIterator {
   std::function<Result<std::optional<PatchTuple>>()> fn_;
 };
 
-// --- Volcano reference operators (pre-vectorization implementations) -------
-
-class VolcanoFilterOp : public PatchIterator {
+class FilterOp : public PatchIterator {
  public:
-  VolcanoFilterOp(PatchIteratorPtr child, ExprPtr predicate)
+  FilterOp(PatchIteratorPtr child, ExprPtr predicate)
       : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
   Result<std::optional<PatchTuple>> Next() override {
@@ -57,10 +51,10 @@ class VolcanoFilterOp : public PatchIterator {
   ExprPtr predicate_;
 };
 
-class VolcanoMapOp : public PatchIterator {
+class MapOp : public PatchIterator {
  public:
-  VolcanoMapOp(PatchIteratorPtr child,
-               std::function<Result<PatchTuple>(PatchTuple)> fn)
+  MapOp(PatchIteratorPtr child,
+        std::function<Result<PatchTuple>(PatchTuple)> fn)
       : child_(std::move(child)), fn_(std::move(fn)) {}
 
   Result<std::optional<PatchTuple>> Next() override {
@@ -75,239 +69,7 @@ class VolcanoMapOp : public PatchIterator {
   std::function<Result<PatchTuple>(PatchTuple)> fn_;
 };
 
-class VolcanoLimitOp : public PatchIterator {
- public:
-  VolcanoLimitOp(PatchIteratorPtr child, size_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-
-  Result<std::optional<PatchTuple>> Next() override {
-    if (emitted_ >= limit_) return std::optional<PatchTuple>();
-    DL_ASSIGN_OR_RETURN(auto tuple, child_->Next());
-    if (tuple.has_value()) ++emitted_;
-    return tuple;
-  }
-
- private:
-  PatchIteratorPtr child_;
-  size_t limit_;
-  size_t emitted_ = 0;
-};
-
-class VolcanoUnionOp : public PatchIterator {
- public:
-  explicit VolcanoUnionOp(std::vector<PatchIteratorPtr> children)
-      : children_(std::move(children)) {}
-
-  Result<std::optional<PatchTuple>> Next() override {
-    while (current_ < children_.size()) {
-      DL_ASSIGN_OR_RETURN(auto tuple, children_[current_]->Next());
-      if (tuple.has_value()) return tuple;
-      ++current_;
-    }
-    return std::optional<PatchTuple>();
-  }
-
- private:
-  std::vector<PatchIteratorPtr> children_;
-  size_t current_ = 0;
-};
-
-class VolcanoProjectOp : public PatchIterator {
- public:
-  VolcanoProjectOp(PatchIteratorPtr child, ProjectSpec spec)
-      : child_(std::move(child)), spec_(std::move(spec)) {}
-
-  Result<std::optional<PatchTuple>> Next() override {
-    DL_ASSIGN_OR_RETURN(auto tuple, child_->Next());
-    if (!tuple.has_value()) return std::optional<PatchTuple>();
-    for (Patch& p : *tuple) ApplyProjectSpec(spec_, &p);
-    return tuple;
-  }
-
- private:
-  PatchIteratorPtr child_;
-  ProjectSpec spec_;
-};
-
-// --- Batch operators --------------------------------------------------------
-
-// Filter and Map preserve tuple-at-a-time error ordering even though they
-// evaluate a whole batch eagerly: tuples produced before the erroring row
-// are delivered first, and the error surfaces on the following Next() — a
-// downstream Limit satisfied by those tuples never sees the error, exactly
-// as with the Volcano operators.
-
-class BatchFilterOp : public BatchIterator {
- public:
-  BatchFilterOp(BatchIteratorPtr child, ExprPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-  Result<std::optional<PatchBatch>> Next() override {
-    if (pending_error_.has_value()) {
-      Status st = std::move(*pending_error_);
-      pending_error_.reset();
-      done_ = true;
-      return st;
-    }
-    if (done_) return std::optional<PatchBatch>();
-    while (true) {
-      DL_ASSIGN_OR_RETURN(auto batch, child_->Next());
-      if (!batch.has_value()) return std::optional<PatchBatch>();
-      const size_t n = batch->size();
-      selection_.resize(n);
-      const Status st = predicate_.EvalTupleRows(batch->tuples.data(), n,
-                                                 selection_.data());
-      if (!st.ok()) {
-        // Salvage the rows before the erroring one row-at-a-time.
-        PatchBatch partial;
-        for (PatchTuple& t : batch->tuples) {
-          auto pass = predicate_.EvalOne(t);
-          if (!pass.ok()) {
-            pending_error_ = pass.status();
-            break;
-          }
-          if (*pass) partial.tuples.push_back(std::move(t));
-        }
-        if (!pending_error_.has_value()) pending_error_ = st;
-        if (!partial.empty()) {
-          return std::optional<PatchBatch>(std::move(partial));
-        }
-        Status first = std::move(*pending_error_);
-        pending_error_.reset();
-        done_ = true;
-        return first;
-      }
-      size_t w = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!selection_[i]) continue;
-        if (w != i) batch->tuples[w] = std::move(batch->tuples[i]);
-        ++w;
-      }
-      batch->tuples.resize(w);
-      if (w > 0) return batch;
-      // Fully filtered batch: pull the next one rather than emit empty.
-    }
-  }
-
- private:
-  BatchIteratorPtr child_;
-  CompiledPredicate predicate_;
-  std::vector<uint8_t> selection_;
-  bool done_ = false;
-  std::optional<Status> pending_error_;
-};
-
-class BatchMapOp : public BatchIterator {
- public:
-  BatchMapOp(BatchIteratorPtr child,
-             std::function<Result<PatchTuple>(PatchTuple)> fn)
-      : child_(std::move(child)), fn_(std::move(fn)) {}
-
-  Result<std::optional<PatchBatch>> Next() override {
-    if (pending_error_.has_value()) {
-      Status st = std::move(*pending_error_);
-      pending_error_.reset();
-      done_ = true;
-      return st;
-    }
-    if (done_) return std::optional<PatchBatch>();
-    DL_ASSIGN_OR_RETURN(auto batch, child_->Next());
-    if (!batch.has_value()) return std::optional<PatchBatch>();
-    for (size_t i = 0; i < batch->size(); ++i) {
-      auto mapped = fn_(std::move(batch->tuples[i]));
-      if (!mapped.ok()) {
-        if (i == 0) {
-          done_ = true;
-          return mapped.status();
-        }
-        pending_error_ = mapped.status();
-        batch->tuples.resize(i);
-        return batch;
-      }
-      batch->tuples[i] = std::move(mapped).value();
-    }
-    return batch;
-  }
-
- private:
-  BatchIteratorPtr child_;
-  std::function<Result<PatchTuple>(PatchTuple)> fn_;
-  bool done_ = false;
-  std::optional<Status> pending_error_;
-};
-
-class BatchLimitOp : public BatchIterator {
- public:
-  BatchLimitOp(BatchIteratorPtr child, size_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-
-  Result<std::optional<PatchBatch>> Next() override {
-    if (emitted_ >= limit_) return std::optional<PatchBatch>();
-    DL_ASSIGN_OR_RETURN(auto batch, child_->Next());
-    if (!batch.has_value()) return std::optional<PatchBatch>();
-    const size_t remaining = limit_ - emitted_;
-    if (batch->size() > remaining) batch->tuples.resize(remaining);
-    emitted_ += batch->size();
-    return batch;
-  }
-
- private:
-  BatchIteratorPtr child_;
-  size_t limit_;
-  size_t emitted_ = 0;
-};
-
-class BatchUnionOp : public BatchIterator {
- public:
-  explicit BatchUnionOp(std::vector<BatchIteratorPtr> children)
-      : children_(std::move(children)) {}
-
-  Result<std::optional<PatchBatch>> Next() override {
-    while (current_ < children_.size()) {
-      DL_ASSIGN_OR_RETURN(auto batch, children_[current_]->Next());
-      if (batch.has_value()) return batch;
-      ++current_;
-    }
-    return std::optional<PatchBatch>();
-  }
-
- private:
-  std::vector<BatchIteratorPtr> children_;
-  size_t current_ = 0;
-};
-
-class BatchProjectOp : public BatchIterator {
- public:
-  BatchProjectOp(BatchIteratorPtr child, ProjectSpec spec)
-      : child_(std::move(child)), spec_(std::move(spec)) {}
-
-  Result<std::optional<PatchBatch>> Next() override {
-    DL_ASSIGN_OR_RETURN(auto batch, child_->Next());
-    if (!batch.has_value()) return std::optional<PatchBatch>();
-    for (PatchTuple& t : batch->tuples) {
-      for (Patch& p : t) ApplyProjectSpec(spec_, &p);
-    }
-    return batch;
-  }
-
- private:
-  BatchIteratorPtr child_;
-  ProjectSpec spec_;
-};
-
 }  // namespace
-
-void ApplyProjectSpec(const ProjectSpec& spec, Patch* p) {
-  if (!spec.keep_pixels) p->set_pixels(Image());
-  if (!spec.keep_features) p->set_features(Tensor());
-  if (!spec.keep_meta_keys.empty()) {
-    MetaDict kept;
-    for (const std::string& key : spec.keep_meta_keys) {
-      if (p->meta().Contains(key)) kept.Set(key, p->meta().Get(key));
-    }
-    p->mutable_meta() = std::move(kept);
-  }
-}
 
 PatchIteratorPtr MakeVectorSource(PatchCollection patches) {
   return std::make_unique<VectorSource>(std::move(patches));
@@ -318,89 +80,13 @@ PatchIteratorPtr MakeGeneratorSource(
   return std::make_unique<GeneratorSource>(std::move(fn));
 }
 
-// The public streaming operators run on the batch engine and adapt back to
-// tuples at the boundary.
-
 PatchIteratorPtr MakeFilter(PatchIteratorPtr child, ExprPtr predicate) {
-  return BatchToTuple(
-      MakeBatchFilter(TupleToBatch(std::move(child)), std::move(predicate)));
+  return std::make_unique<FilterOp>(std::move(child), std::move(predicate));
 }
 
 PatchIteratorPtr MakeMap(PatchIteratorPtr child,
                          std::function<Result<PatchTuple>(PatchTuple)> fn) {
-  return BatchToTuple(
-      MakeBatchMap(TupleToBatch(std::move(child)), std::move(fn)));
-}
-
-PatchIteratorPtr MakeLimit(PatchIteratorPtr child, size_t limit) {
-  // Cap the batch size at the limit so the adapter never over-pulls the
-  // child: limit-3 over a generator still pulls exactly 3 tuples.
-  const size_t batch_size = std::max<size_t>(
-      1, std::min<size_t>(kDefaultBatchSize, limit));
-  return BatchToTuple(
-      MakeBatchLimit(TupleToBatch(std::move(child), batch_size), limit));
-}
-
-PatchIteratorPtr MakeUnion(std::vector<PatchIteratorPtr> children) {
-  std::vector<BatchIteratorPtr> batched;
-  batched.reserve(children.size());
-  for (PatchIteratorPtr& child : children) {
-    batched.push_back(TupleToBatch(std::move(child)));
-  }
-  return BatchToTuple(MakeBatchUnion(std::move(batched)));
-}
-
-PatchIteratorPtr MakeProject(PatchIteratorPtr child, ProjectSpec spec) {
-  return BatchToTuple(
-      MakeBatchProject(TupleToBatch(std::move(child)), std::move(spec)));
-}
-
-// --- Volcano factories ------------------------------------------------------
-
-PatchIteratorPtr MakeVolcanoFilter(PatchIteratorPtr child, ExprPtr predicate) {
-  return std::make_unique<VolcanoFilterOp>(std::move(child),
-                                           std::move(predicate));
-}
-
-PatchIteratorPtr MakeVolcanoMap(
-    PatchIteratorPtr child, std::function<Result<PatchTuple>(PatchTuple)> fn) {
-  return std::make_unique<VolcanoMapOp>(std::move(child), std::move(fn));
-}
-
-PatchIteratorPtr MakeVolcanoLimit(PatchIteratorPtr child, size_t limit) {
-  return std::make_unique<VolcanoLimitOp>(std::move(child), limit);
-}
-
-PatchIteratorPtr MakeVolcanoUnion(std::vector<PatchIteratorPtr> children) {
-  return std::make_unique<VolcanoUnionOp>(std::move(children));
-}
-
-PatchIteratorPtr MakeVolcanoProject(PatchIteratorPtr child, ProjectSpec spec) {
-  return std::make_unique<VolcanoProjectOp>(std::move(child), std::move(spec));
-}
-
-// --- Batch operator factories -----------------------------------------------
-
-BatchIteratorPtr MakeBatchFilter(BatchIteratorPtr child, ExprPtr predicate) {
-  return std::make_unique<BatchFilterOp>(std::move(child),
-                                         std::move(predicate));
-}
-
-BatchIteratorPtr MakeBatchMap(BatchIteratorPtr child,
-                              std::function<Result<PatchTuple>(PatchTuple)> fn) {
-  return std::make_unique<BatchMapOp>(std::move(child), std::move(fn));
-}
-
-BatchIteratorPtr MakeBatchLimit(BatchIteratorPtr child, size_t limit) {
-  return std::make_unique<BatchLimitOp>(std::move(child), limit);
-}
-
-BatchIteratorPtr MakeBatchUnion(std::vector<BatchIteratorPtr> children) {
-  return std::make_unique<BatchUnionOp>(std::move(children));
-}
-
-BatchIteratorPtr MakeBatchProject(BatchIteratorPtr child, ProjectSpec spec) {
-  return std::make_unique<BatchProjectOp>(std::move(child), std::move(spec));
+  return std::make_unique<MapOp>(std::move(child), std::move(fn));
 }
 
 Result<std::vector<PatchTuple>> Collect(PatchIterator* it) {

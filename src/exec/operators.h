@@ -1,14 +1,14 @@
 // Tuple-at-a-time iterator API over Tuple<Patch> (paper §2.2, §5). Every
 // operator is closed algebra: patch tuples in, patch tuples out. Sources
-// wrap materialized collections or storage scans; Select/Map/Limit stream.
+// wrap materialized collections or generator callbacks; Select and Map
+// stream one tuple per Next().
 //
-// Since the vectorized refactor the streaming operators returned by
-// MakeFilter/MakeMap/MakeLimit/MakeUnion/MakeProject are thin adapters over
-// the batch-at-a-time engine in exec/batch.h: tuples are gathered into
-// PatchBatches, processed batch-wise, and handed back one at a time. The
-// original single-tuple implementations remain available as MakeVolcano* —
-// they are the reference the batch engine is tested against and the
-// baseline the pipeline benchmark compares to.
+// This is the one streaming interface: ETL generators and transformers
+// yield and map patches through it. Scans, joins and aggregates over
+// materialized collections run on the morsel-parallel driver in
+// exec/pipeline.h instead. MakeFilter evaluates Expr::EvalBool per tuple,
+// independently of the driver's CompiledPredicate, so it doubles as the
+// oracle the parallel paths are tested against.
 #pragma once
 
 #include <functional>
@@ -51,37 +51,6 @@ PatchIteratorPtr MakeFilter(PatchIteratorPtr child, ExprPtr predicate);
 PatchIteratorPtr MakeMap(
     PatchIteratorPtr child,
     std::function<Result<PatchTuple>(PatchTuple)> fn);
-
-/// Stops after `limit` tuples.
-PatchIteratorPtr MakeLimit(PatchIteratorPtr child, size_t limit);
-
-/// Concatenates children in order.
-PatchIteratorPtr MakeUnion(std::vector<PatchIteratorPtr> children);
-
-/// Projection in the storage sense: drops pixel payloads and/or all but
-/// the named metadata keys, shrinking tuples before materialization.
-struct ProjectSpec {
-  bool keep_pixels = false;
-  bool keep_features = true;
-  /// Empty = keep every key.
-  std::vector<std::string> keep_meta_keys;
-};
-PatchIteratorPtr MakeProject(PatchIteratorPtr child, ProjectSpec spec);
-
-/// Applies a projection to one patch in place (shared by the tuple and
-/// batch engines).
-void ApplyProjectSpec(const ProjectSpec& spec, Patch* patch);
-
-// --- Reference tuple-at-a-time implementations -----------------------------
-// The pre-vectorization Volcano operators: one virtual Next() per tuple,
-// no batching. Kept as the equivalence-test oracle and benchmark baseline.
-
-PatchIteratorPtr MakeVolcanoFilter(PatchIteratorPtr child, ExprPtr predicate);
-PatchIteratorPtr MakeVolcanoMap(
-    PatchIteratorPtr child, std::function<Result<PatchTuple>(PatchTuple)> fn);
-PatchIteratorPtr MakeVolcanoLimit(PatchIteratorPtr child, size_t limit);
-PatchIteratorPtr MakeVolcanoUnion(std::vector<PatchIteratorPtr> children);
-PatchIteratorPtr MakeVolcanoProject(PatchIteratorPtr child, ProjectSpec spec);
 
 // --- Drain helpers ---------------------------------------------------------
 

@@ -81,8 +81,7 @@ Status DispatchMorsels(size_t n, const MorselPlan& plan,
 BatchPipeline& BatchPipeline::Filter(ExprPtr predicate) {
   Stage stage;
   stage.kind = Stage::Kind::kFilter;
-  stage.predicate = CompiledPredicate(predicate);
-  stage.predicate_expr = std::move(predicate);
+  stage.predicate = CompiledPredicate(std::move(predicate));
   stages_.push_back(std::move(stage));
   return *this;
 }
@@ -94,31 +93,6 @@ BatchPipeline& BatchPipeline::Map(
   stage.map_fn = std::move(fn);
   stages_.push_back(std::move(stage));
   return *this;
-}
-
-BatchPipeline& BatchPipeline::Project(ProjectSpec spec) {
-  Stage stage;
-  stage.kind = Stage::Kind::kProject;
-  stage.project = std::move(spec);
-  stages_.push_back(std::move(stage));
-  return *this;
-}
-
-BatchIteratorPtr BatchPipeline::Bind(BatchIteratorPtr source) const {
-  for (const Stage& stage : stages_) {
-    switch (stage.kind) {
-      case Stage::Kind::kFilter:
-        source = MakeBatchFilter(std::move(source), stage.predicate_expr);
-        break;
-      case Stage::Kind::kMap:
-        source = MakeBatchMap(std::move(source), stage.map_fn);
-        break;
-      case Stage::Kind::kProject:
-        source = MakeBatchProject(std::move(source), stage.project);
-        break;
-    }
-  }
-  return source;
 }
 
 Status BatchPipeline::RunStagesOnTuples(std::vector<PatchTuple>* working,
@@ -147,63 +121,9 @@ Status BatchPipeline::RunStagesOnTuples(std::vector<PatchTuple>* working,
         }
         break;
       }
-      case Stage::Kind::kProject: {
-        for (PatchTuple& t : *working) {
-          for (Patch& p : t) ApplyProjectSpec(stage.project, &p);
-        }
-        break;
-      }
     }
   }
   return Status::OK();
-}
-
-Result<std::vector<PatchTuple>> BatchPipeline::Run(
-    const std::vector<PatchTuple>& rows, const MorselOptions& options,
-    PipelineStats* stats) const {
-  Stopwatch timer;
-  const size_t n = rows.size();
-  const MorselPlan plan = PlanMorsels(n, options);
-  std::vector<std::vector<PatchTuple>> partials(plan.num_morsels);
-
-  const bool leading_filter =
-      !stages_.empty() && stages_[0].kind == Stage::Kind::kFilter;
-
-  DL_RETURN_NOT_OK(DispatchMorsels(
-      n, plan, [&](size_t m, size_t lo, size_t hi) -> Status {
-        std::vector<PatchTuple>& working = partials[m];
-        size_t first_stage = 0;
-        if (leading_filter) {
-          // Late materialization: evaluate against the source rows in
-          // place; only survivors are copied.
-          std::vector<uint8_t> selection(hi - lo);
-          DL_RETURN_NOT_OK(stages_[0].predicate.EvalTupleRows(
-              rows.data() + lo, hi - lo, selection.data()));
-          for (size_t i = 0; i < hi - lo; ++i) {
-            if (selection[i]) working.push_back(rows[lo + i]);
-          }
-          first_stage = 1;
-        } else {
-          working.assign(rows.begin() + static_cast<ptrdiff_t>(lo),
-                         rows.begin() + static_cast<ptrdiff_t>(hi));
-        }
-        return RunStagesOnTuples(&working, first_stage);
-      }));
-
-  std::vector<PatchTuple> out;
-  size_t total = 0;
-  for (const auto& partial : partials) total += partial.size();
-  out.reserve(total);
-  for (auto& partial : partials) {
-    for (PatchTuple& t : partial) out.push_back(std::move(t));
-  }
-  if (stats != nullptr) {
-    stats->input_rows = n;
-    stats->output_rows = out.size();
-    stats->morsels = plan.num_morsels;
-    stats->millis = timer.ElapsedMillis();
-  }
-  return out;
 }
 
 Result<PatchCollection> BatchPipeline::RunOnPatches(

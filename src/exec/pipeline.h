@@ -1,28 +1,30 @@
-// Morsel-driven parallel pipeline driver (the batch engine's scheduler).
+// Morsel-driven parallel pipeline driver over materialized collections.
 //
 // A BatchPipeline is a compiled chain of embarrassingly-parallel stages —
-// Filter / Map / Project — that can either be bound lazily over any
-// BatchIterator (serial, streaming) or run morsel-parallel over a
-// materialized input: the input is split into contiguous morsels, each
-// morsel is processed batch-at-a-time by a ThreadPool::Global() worker, and
-// the per-morsel outputs are merged back in input order, so results are
-// deterministic regardless of scheduling.
+// Filter / Map — run over a materialized input: the input is split into
+// contiguous morsels, each morsel is processed as one unit per stage by a
+// ThreadPool::Global() worker, and the per-morsel outputs are merged back
+// in input order, so results are deterministic regardless of scheduling.
+// Streaming (tuple-at-a-time) operators live in exec/operators.h.
 //
 // Filters over bare patch collections are evaluated against the source
 // rows in place (late materialization): rows the predicate rejects are
-// never copied, which is where most of the batch engine's scan speedup
-// comes from.
+// never copied, which is where most of the driver's scan speedup comes
+// from.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "common/status.h"
-#include "exec/batch.h"
 #include "exec/expression.h"
 #include "exec/operators.h"
 
 namespace deeplens {
+
+/// Default rows per unit of work: the morsel-size floor, and the number of
+/// buffered pairs at which a join flushes its output.
+inline constexpr size_t kDefaultBatchSize = 1024;
 
 struct MorselOptions {
   /// Floor for the auto-computed morsel size. Each morsel is processed as
@@ -79,45 +81,34 @@ Status DispatchMorsels(
     size_t n, const MorselPlan& plan,
     const std::function<Status(size_t, size_t, size_t)>& worker);
 
-/// \brief Compiled chain of filter/map/project stages.
+/// \brief Compiled chain of filter/map stages.
 ///
 /// Map functions must be thread-safe: the morsel driver invokes them
-/// concurrently from pool workers. Order-sensitive operators (Limit) are
-/// deliberately not expressible here — wrap the pipeline's output instead.
+/// concurrently from pool workers. Order-sensitive operators (a limit) are
+/// deliberately not expressible here.
 class BatchPipeline {
  public:
   BatchPipeline& Filter(ExprPtr predicate);
   BatchPipeline& Map(std::function<Result<PatchTuple>(PatchTuple)> fn);
-  BatchPipeline& Project(ProjectSpec spec);
 
   size_t num_stages() const { return stages_.size(); }
 
-  /// Lazy serial composition over an arbitrary batch source.
-  BatchIteratorPtr Bind(BatchIteratorPtr source) const;
-
-  /// Morsel-parallel execution over materialized tuple rows; the output
-  /// preserves input order (ordered merge by morsel index). Errors report
-  /// the earliest failing morsel.
-  Result<std::vector<PatchTuple>> Run(const std::vector<PatchTuple>& rows,
-                                      const MorselOptions& options = {},
-                                      PipelineStats* stats = nullptr) const;
-
-  /// Same, over bare patches treated as 1-tuple rows. A leading Filter
-  /// stage runs against `rows` in place, so rejected rows are never
-  /// copied. Every output tuple must still be a 1-tuple (maps that widen
-  /// tuples are an error on this path).
+  /// Morsel-parallel execution over bare patches treated as 1-tuple rows;
+  /// the output preserves input order (ordered merge by morsel index).
+  /// Errors report the earliest failing morsel. A leading Filter stage
+  /// runs against `rows` in place, so rejected rows are never copied.
+  /// Every output tuple must still be a 1-tuple (maps that widen tuples
+  /// are an error on this path).
   Result<PatchCollection> RunOnPatches(const PatchCollection& rows,
                                        const MorselOptions& options = {},
                                        PipelineStats* stats = nullptr) const;
 
  private:
   struct Stage {
-    enum class Kind { kFilter, kMap, kProject };
+    enum class Kind { kFilter, kMap };
     Kind kind = Kind::kFilter;
     CompiledPredicate predicate;   // kFilter (compiled once, shared)
-    ExprPtr predicate_expr;        // kFilter (for Bind)
     std::function<Result<PatchTuple>(PatchTuple)> map_fn;  // kMap
-    ProjectSpec project;           // kProject
   };
 
   // Applies stages [first_stage..] to `working` in place.

@@ -1,11 +1,11 @@
 // AsyncChunkLoader: decode-ahead pipeline between a ColumnarReader and
-// the consuming BatchIterator. A dedicated I/O worker preads + decodes
-// chunks in order and parks them in a bounded queue, so the consumer's
-// compute overlaps the next chunk's I/O and decompression. The queue is
-// bounded two ways — chunk count (DEEPLENS_PREFETCH_DEPTH) *and* a
-// decoded-byte budget charged via ApproxPatchBytes — so prefetch cannot
-// balloon memory on wide pixel/feature columns no matter how small the
-// depth knob looks.
+// its consumer (a planner scan or MaterializedView::Scan). A dedicated
+// I/O worker preads + decodes chunks in order and parks them in a bounded
+// queue, so the consumer's compute overlaps the next chunk's I/O and
+// decompression. The queue is bounded two ways — chunk count
+// (DEEPLENS_PREFETCH_DEPTH) *and* a decoded-byte budget charged via
+// ApproxPatchBytes — so prefetch cannot balloon memory on wide
+// pixel/feature columns no matter how small the depth knob looks.
 #pragma once
 
 #include <condition_variable>

@@ -3,8 +3,9 @@
 // last-write-wins oracle across randomized, NULL-heavy, empty, one-chunk
 // and out-of-order/overwritten views), rejection of pre-columnar view
 // files, zone-map pruning equivalence against unpruned scans, torn-tail
-// and corrupt-chunk recovery to typed Corruption, and the async
-// decode-ahead loader (concurrent readers, byte budget, depth knob).
+// and corrupt-chunk recovery to typed Corruption, the async decode-ahead
+// loader (concurrent readers, byte budget, depth knob) and the view's
+// streaming Scan().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -674,6 +675,37 @@ TEST_F(ColumnarTest, ConcurrentPrefetchScansAreDeterministic) {
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(statuses[t].ok()) << statuses[t].ToString();
     ExpectSamePatches(results[t], patches);
+  }
+}
+
+TEST_F(ColumnarTest, ViewScanStreamsEveryRowAcrossChunks) {
+  setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "8", 1);
+  const PatchCollection patches = RandomPatches(30, 23);
+  auto view = MaterializedView::Open(Path("v")).value();
+  for (const Patch& p : patches) ASSERT_TRUE(view->Append(p).ok());
+  ASSERT_GE(view->OpenReader().value()->num_chunks(), 3u);
+
+  // Every id, in order, across the chunk boundaries.
+  auto scan = view->Scan();
+  auto rows = CollectPatches(scan.get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ExpectSamePatches(*rows, patches);
+}
+
+TEST_F(ColumnarTest, ViewScanOfUnopenableFileReturnsTheOpenError) {
+  auto view = MaterializedView::Open(Path("v")).value();
+  Patch p;
+  p.set_id(1);
+  ASSERT_TRUE(view->Append(p).ok());
+  std::filesystem::remove(Path("v"));
+  const Status open_error = view->OpenReader().status();
+  ASSERT_FALSE(open_error.ok());
+
+  auto scan = view->Scan();
+  for (int i = 0; i < 2; ++i) {
+    auto t = scan->Next();
+    ASSERT_FALSE(t.ok());
+    EXPECT_EQ(t.status().ToString(), open_error.ToString());
   }
 }
 

@@ -1,18 +1,18 @@
-// Unit tests for the vectorized execution layer: batch operators must be
-// byte-identical to the legacy Volcano tuple iterators on randomized
-// inputs, the tuple<->batch adapters must preserve stream contents and
-// error ordering, and the morsel-parallel pipeline driver must be
-// deterministic (ordered merge) and equal to serial execution.
+// Unit tests for the morsel-driven execution layer: batched predicate
+// evaluation (EvalBatch / CompiledPredicate) must agree with scalar
+// Expr::EvalBool, the morsel-parallel pipeline driver must be
+// deterministic (ordered merge) and equal to the tuple-at-a-time
+// streaming operators, and those operators must deliver every tuple
+// produced before an error ahead of the error itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "exec/batch.h"
 #include "exec/expression.h"
 #include "exec/operators.h"
 #include "exec/pipeline.h"
@@ -60,16 +60,6 @@ std::string BytesOfTuple(const PatchTuple& tuple) {
   return std::string(raw.begin(), raw.end());
 }
 
-// PatchTuple and PatchCollection are the same underlying type, so the two
-// stream flavours need distinct names: a vector of tuples serializes each
-// tuple, a collection serializes each patch as a 1-tuple.
-std::vector<std::string> BytesOf(const std::vector<PatchTuple>& tuples) {
-  std::vector<std::string> out;
-  out.reserve(tuples.size());
-  for (const PatchTuple& t : tuples) out.push_back(BytesOfTuple(t));
-  return out;
-}
-
 std::vector<std::string> BytesOfPatches(const PatchCollection& patches) {
   std::vector<std::string> out;
   out.reserve(patches.size());
@@ -96,250 +86,71 @@ ExprPtr TestPredicate(int which) {
   }
 }
 
-// --- Batch operators vs. Volcano reference ---------------------------------
+// --- Streaming operators: error ordering ------------------------------------
 
-TEST(BatchOperatorTest, FilterMatchesVolcanoOnRandomInputs) {
-  for (int round = 0; round < 5; ++round) {
-    const size_t n = 1 + (round * 997) % 3000;  // crosses batch boundaries
-    PatchCollection input = RandomCollection(100 + round, n);
-    ExprPtr pred = TestPredicate(round);
-
-    auto volcano = MakeVolcanoFilter(MakeVectorSource(input), pred);
-    auto expected = Collect(volcano.get());
-    ASSERT_TRUE(expected.ok());
-
-    auto batch = MakeBatchFilter(MakeBatchVectorSource(input), pred);
-    auto actual = CollectBatches(batch.get());
-    ASSERT_TRUE(actual.ok());
-
-    EXPECT_EQ(BytesOf(*actual), BytesOf(*expected)) << "round " << round;
-  }
-}
-
-TEST(BatchOperatorTest, MapMatchesVolcanoOnRandomInputs) {
-  auto annotate = [](PatchTuple t) -> Result<PatchTuple> {
-    t[0].mutable_meta().Set(
-        "doubled", t[0].meta().Get("frameno").AsInt().value() * 2);
-    return t;
-  };
-  PatchCollection input = RandomCollection(7, 2500);
-
-  auto volcano = MakeVolcanoMap(MakeVectorSource(input), annotate);
-  auto expected = Collect(volcano.get());
-  ASSERT_TRUE(expected.ok());
-
-  auto batch = MakeBatchMap(MakeBatchVectorSource(input), annotate);
-  auto actual = CollectBatches(batch.get());
-  ASSERT_TRUE(actual.ok());
-
-  EXPECT_EQ(BytesOf(*actual), BytesOf(*expected));
-}
-
-TEST(BatchOperatorTest, LimitMatchesVolcanoAcrossBoundaries) {
-  PatchCollection input = RandomCollection(11, 2100);
-  for (size_t limit : {size_t{0}, size_t{1}, size_t{1023}, size_t{1024},
-                       size_t{1025}, size_t{2100}, size_t{5000}}) {
-    auto volcano = MakeVolcanoLimit(MakeVectorSource(input), limit);
-    auto expected = Collect(volcano.get());
-    ASSERT_TRUE(expected.ok());
-
-    auto batch = MakeBatchLimit(MakeBatchVectorSource(input), limit);
-    auto actual = CollectBatches(batch.get());
-    ASSERT_TRUE(actual.ok());
-
-    EXPECT_EQ(BytesOf(*actual), BytesOf(*expected)) << "limit " << limit;
-  }
-}
-
-TEST(BatchOperatorTest, UnionMatchesVolcano) {
-  PatchCollection a = RandomCollection(21, 1500);
-  PatchCollection b = RandomCollection(22, 3);
-  PatchCollection c;  // empty child
-  PatchCollection d = RandomCollection(23, 1100);
-
-  std::vector<PatchIteratorPtr> tuple_children;
-  tuple_children.push_back(MakeVectorSource(a));
-  tuple_children.push_back(MakeVectorSource(b));
-  tuple_children.push_back(MakeVectorSource(c));
-  tuple_children.push_back(MakeVectorSource(d));
-  auto volcano = MakeVolcanoUnion(std::move(tuple_children));
-  auto expected = Collect(volcano.get());
-  ASSERT_TRUE(expected.ok());
-
-  std::vector<BatchIteratorPtr> batch_children;
-  batch_children.push_back(MakeBatchVectorSource(a));
-  batch_children.push_back(MakeBatchVectorSource(b));
-  batch_children.push_back(MakeBatchVectorSource(c));
-  batch_children.push_back(MakeBatchVectorSource(d));
-  auto batch = MakeBatchUnion(std::move(batch_children));
-  auto actual = CollectBatches(batch.get());
-  ASSERT_TRUE(actual.ok());
-
-  EXPECT_EQ(BytesOf(*actual), BytesOf(*expected));
-}
-
-TEST(BatchOperatorTest, ProjectMatchesVolcano) {
-  PatchCollection input = RandomCollection(31, 1800);
-  ProjectSpec specs[3];
-  specs[0].keep_pixels = false;
-  specs[0].keep_features = false;
-  specs[1].keep_meta_keys = {"label", "score"};
-  specs[2].keep_features = false;
-  specs[2].keep_meta_keys = {"frameno"};
-
-  for (const ProjectSpec& spec : specs) {
-    auto volcano = MakeVolcanoProject(MakeVectorSource(input), spec);
-    auto expected = Collect(volcano.get());
-    ASSERT_TRUE(expected.ok());
-
-    auto batch = MakeBatchProject(MakeBatchVectorSource(input), spec);
-    auto actual = CollectBatches(batch.get());
-    ASSERT_TRUE(actual.ok());
-
-    EXPECT_EQ(BytesOf(*actual), BytesOf(*expected));
-  }
-}
-
-TEST(BatchOperatorTest, PublicTupleApiMatchesVolcanoPipeline) {
-  // MakeFilter/MakeMap now run on the batch engine; a composed pipeline
-  // must still be indistinguishable from the Volcano chain.
-  PatchCollection input = RandomCollection(41, 2700);
-  ExprPtr pred = TestPredicate(2);
-  auto annotate = [](PatchTuple t) -> Result<PatchTuple> {
-    t[0].mutable_meta().Set("seen", true);
-    return t;
-  };
-
-  auto volcano = MakeVolcanoLimit(
-      MakeVolcanoMap(MakeVolcanoFilter(MakeVectorSource(input), pred),
-                     annotate),
-      500);
-  auto expected = Collect(volcano.get());
-  ASSERT_TRUE(expected.ok());
-
-  auto modern = MakeLimit(
-      MakeMap(MakeFilter(MakeVectorSource(input), pred), annotate), 500);
-  auto actual = Collect(modern.get());
-  ASSERT_TRUE(actual.ok());
-
-  EXPECT_EQ(BytesOf(*actual), BytesOf(*expected));
-}
-
-// --- Adapters ---------------------------------------------------------------
-
-TEST(BatchAdapterTest, RoundTripPreservesStream) {
-  PatchCollection input = RandomCollection(51, 2050);
-  auto round_tripped = TupleToBatch(
-      BatchToTuple(TupleToBatch(MakeVectorSource(input), 100)), 77);
-  auto actual = CollectBatchPatches(round_tripped.get());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(BytesOfPatches(*actual), BytesOfPatches(input));
-}
-
-TEST(BatchAdapterTest, LimitDoesNotOverPullGenerator) {
-  // The batching adapter under a limit must pull exactly `limit` tuples,
-  // like the Volcano limit did — not a full batch.
-  int pulls = 0;
-  auto gen = MakeGeneratorSource(
-      [&pulls]() -> Result<std::optional<PatchTuple>> {
-        ++pulls;
-        Patch p;
-        p.set_id(static_cast<PatchId>(pulls));
-        return std::optional<PatchTuple>(PatchTuple{std::move(p)});
-      });
-  auto limit = MakeLimit(std::move(gen), 3);
-  EXPECT_EQ(Drain(limit.get()).value(), 3u);
-  EXPECT_EQ(pulls, 3);
-}
-
-TEST(BatchAdapterTest, MidStreamErrorIsDeliveredAfterBufferedTuples) {
-  // A child erroring on tuple 4 must still deliver tuples 1-3 first, in
-  // both the batch view and the tuple view of the adapted stream.
-  int calls = 0;
-  auto make_gen = [&calls]() {
-    calls = 0;
+TEST(StreamingOperatorTest, MidStreamErrorIsDeliveredAfterBufferedTuples) {
+  // A child erroring on tuple 4 must still deliver tuples 1-3 first,
+  // through a filter and through a map alike.
+  auto make_gen = []() {
+    auto calls = std::make_shared<int>(0);
     return MakeGeneratorSource(
-        [&calls]() -> Result<std::optional<PatchTuple>> {
-          if (++calls >= 4) return Status::IOError("stream broke");
+        [calls]() -> Result<std::optional<PatchTuple>> {
+          if (++*calls >= 4) return Status::IOError("stream broke");
           Patch p;
-          p.set_id(static_cast<PatchId>(calls));
+          p.set_id(static_cast<PatchId>(*calls));
           return std::optional<PatchTuple>(PatchTuple{std::move(p)});
         });
   };
-
-  auto batched = TupleToBatch(make_gen(), 64);
-  auto first = batched->Next();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first->has_value());
-  EXPECT_EQ((*first)->size(), 3u);
-  auto second = batched->Next();
-  ASSERT_FALSE(second.ok());
-  EXPECT_TRUE(second.status().IsIOError());
-  // And the stream stays terminated afterwards.
-  auto third = batched->Next();
-  ASSERT_TRUE(third.ok());
-  EXPECT_FALSE(third->has_value());
-
-  auto tuple_view = BatchToTuple(TupleToBatch(make_gen(), 64));
-  for (int i = 1; i <= 3; ++i) {
-    auto t = tuple_view->Next();
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(t->has_value());
-    EXPECT_EQ((**t)[0].id(), static_cast<PatchId>(i));
-  }
-  auto err = tuple_view->Next();
-  ASSERT_FALSE(err.ok());
-  EXPECT_TRUE(err.status().IsIOError());
-}
-
-TEST(BatchAdapterTest, FilterDeliversPassingTuplesBeforePredicateError) {
-  // Rows 1 and 3 pass, row 2 is filtered, row 4 makes the predicate
-  // error ("flag" holds an int). Both engines must yield [1, 3] and only
-  // then the error — and a limit satisfied by those tuples must make the
-  // whole query succeed, exactly as with the Volcano operators.
-  auto make_input = []() {
-    PatchCollection out;
-    for (int i = 1; i <= 4; ++i) {
-      Patch p;
-      p.set_id(static_cast<PatchId>(i));
-      if (i == 4) {
-        p.mutable_meta().Set("flag", int64_t{5});
-      } else {
-        p.mutable_meta().Set("flag", i != 2);
-      }
-      out.push_back(std::move(p));
-    }
-    return out;
+  auto identity = [](PatchTuple t) -> Result<PatchTuple> { return t; };
+  PatchIteratorPtr streams[] = {
+      MakeFilter(make_gen(), Lit(MetaValue(true))),
+      MakeMap(make_gen(), identity),
   };
-  ExprPtr pred = Attr("flag");
-
-  for (bool volcano : {true, false}) {
-    auto filter = volcano
-                      ? MakeVolcanoFilter(MakeVectorSource(make_input()), pred)
-                      : MakeFilter(MakeVectorSource(make_input()), pred);
-    std::vector<PatchId> seen;
-    Status error;
-    while (true) {
-      auto t = filter->Next();
-      if (!t.ok()) {
-        error = t.status();
-        break;
-      }
-      if (!t->has_value()) break;
-      seen.push_back((**t)[0].id());
+  for (PatchIteratorPtr& stream : streams) {
+    for (int i = 1; i <= 3; ++i) {
+      auto t = stream->Next();
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      ASSERT_TRUE(t->has_value());
+      EXPECT_EQ((**t)[0].id(), static_cast<PatchId>(i));
     }
-    EXPECT_EQ(seen, (std::vector<PatchId>{1, 3})) << "volcano=" << volcano;
-    EXPECT_TRUE(error.IsTypeError()) << "volcano=" << volcano;
+    auto err = stream->Next();
+    ASSERT_FALSE(err.ok());
+    EXPECT_TRUE(err.status().IsIOError());
   }
-
-  // Limit short-circuits before the poisoned row is ever a problem.
-  auto limited = MakeLimit(MakeFilter(MakeVectorSource(make_input()), pred), 2);
-  auto rows = CollectPatches(limited.get());
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(rows->size(), 2u);
 }
 
-TEST(BatchAdapterTest, MapDeliversMappedTuplesBeforeError) {
+TEST(StreamingOperatorTest, FilterDeliversPassingTuplesBeforePredicateError) {
+  // Rows 1 and 3 pass, row 2 is filtered, row 4 makes the predicate
+  // error ("flag" holds an int): the filter yields [1, 3] and only then
+  // the error.
+  PatchCollection input;
+  for (int i = 1; i <= 4; ++i) {
+    Patch p;
+    p.set_id(static_cast<PatchId>(i));
+    if (i == 4) {
+      p.mutable_meta().Set("flag", int64_t{5});
+    } else {
+      p.mutable_meta().Set("flag", i != 2);
+    }
+    input.push_back(std::move(p));
+  }
+  auto filter = MakeFilter(MakeVectorSource(std::move(input)), Attr("flag"));
+  std::vector<PatchId> seen;
+  Status error;
+  while (true) {
+    auto t = filter->Next();
+    if (!t.ok()) {
+      error = t.status();
+      break;
+    }
+    if (!t->has_value()) break;
+    seen.push_back((**t)[0].id());
+  }
+  EXPECT_EQ(seen, (std::vector<PatchId>{1, 3}));
+  EXPECT_TRUE(error.IsTypeError());
+}
+
+TEST(StreamingOperatorTest, MapDeliversMappedTuplesBeforeError) {
   PatchCollection input = RandomCollection(55, 10);
   auto poisoned = [](PatchTuple t) -> Result<PatchTuple> {
     if (t[0].id() == 7) return Status::Internal("poisoned");
@@ -457,10 +268,10 @@ TEST(CompiledPredicateTest, AllFalseBatchCompactsToEmpty) {
   EXPECT_EQ(std::count(selection.begin(), selection.end(), 0),
             static_cast<ptrdiff_t>(input.size()));
 
-  // End-to-end: the batch filter must drain to an empty stream, and the
-  // morsel driver must report zero output rows.
-  auto filtered = MakeBatchFilter(MakeBatchVectorSource(input), never);
-  auto drained = CollectBatches(filtered.get());
+  // End-to-end: the streaming filter must drain to an empty stream, and
+  // the morsel driver must report zero output rows.
+  auto filtered = MakeFilter(MakeVectorSource(input), never);
+  auto drained = CollectPatches(filtered.get());
   ASSERT_TRUE(drained.ok());
   EXPECT_TRUE(drained->empty());
   PipelineStats stats;
@@ -471,21 +282,13 @@ TEST(CompiledPredicateTest, AllFalseBatchCompactsToEmpty) {
 }
 
 TEST(CompiledPredicateTest, BatchSizeOneMatchesDefaultGeometry) {
-  // Forcing 1-tuple batches through the adapter and 1-row morsels through
-  // the driver must not change any result.
+  // Forcing 1-row morsels through the driver must not change any result.
   PatchCollection input = RandomCollection(115, 257);
   for (int which = 0; which < 5; ++which) {
     ExprPtr pred = TestPredicate(which);
-    auto reference = MakeVolcanoFilter(MakeVectorSource(input), pred);
+    auto reference = MakeFilter(MakeVectorSource(input), pred);
     auto expected = CollectPatches(reference.get());
     ASSERT_TRUE(expected.ok());
-
-    auto one_by_one = MakeBatchFilter(
-        TupleToBatch(MakeVectorSource(input), /*batch_size=*/1), pred);
-    auto actual = CollectBatchPatches(one_by_one.get());
-    ASSERT_TRUE(actual.ok());
-    EXPECT_EQ(BytesOfPatches(*actual), BytesOfPatches(*expected))
-        << "pred " << which;
 
     MorselOptions options;
     options.batch_size = 1;
@@ -498,15 +301,15 @@ TEST(CompiledPredicateTest, BatchSizeOneMatchesDefaultGeometry) {
 }
 
 TEST(CompiledPredicateTest, LastPartialBatchIsFullyEvaluated) {
-  // Input sizes straddling the batch boundary: the final short batch must
-  // be evaluated row-for-row like every full batch before it.
+  // Input sizes straddling the morsel-size floor: the final short morsel
+  // must be evaluated row-for-row like every full one before it.
   for (size_t n : {kDefaultBatchSize - 1, kDefaultBatchSize,
                    kDefaultBatchSize + 1, 2 * kDefaultBatchSize + 17}) {
     PatchCollection input = RandomCollection(117, n);
     // Make the very last row the only survivor so a dropped tail is loud.
     ExprPtr pred = Eq(Attr("pid"), Lit(static_cast<int64_t>(n)));
-    auto filtered = MakeBatchFilter(MakeBatchVectorSource(input), pred);
-    auto out = CollectBatchPatches(filtered.get());
+    auto filtered = MakeFilter(MakeVectorSource(input), pred);
+    auto out = CollectPatches(filtered.get());
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out->size(), 1u) << "n " << n;
     EXPECT_EQ((*out)[0].id(), static_cast<PatchId>(n)) << "n " << n;
@@ -529,8 +332,8 @@ TEST(BatchPipelineTest, ParallelRunMatchesSerialAndVolcano) {
     return t;
   };
 
-  auto volcano = MakeVolcanoMap(
-      MakeVolcanoFilter(MakeVectorSource(input), pred), annotate);
+  auto volcano =
+      MakeMap(MakeFilter(MakeVectorSource(input), pred), annotate);
   auto expected = CollectPatches(volcano.get());
   ASSERT_TRUE(expected.ok());
 
@@ -574,23 +377,6 @@ TEST(BatchPipelineTest, RepeatedParallelRunsAreDeterministic) {
   }
 }
 
-TEST(BatchPipelineTest, BindComposesSameResultAsRun) {
-  PatchCollection input = RandomCollection(95, 3000);
-  ProjectSpec spec;
-  spec.keep_meta_keys = {"label"};
-  BatchPipeline pipeline;
-  pipeline.Filter(TestPredicate(1)).Project(spec);
-
-  auto run_out = pipeline.RunOnPatches(input);
-  ASSERT_TRUE(run_out.ok());
-
-  auto bound = pipeline.Bind(MakeBatchVectorSource(input));
-  auto bind_out = CollectBatchPatches(bound.get());
-  ASSERT_TRUE(bind_out.ok());
-
-  EXPECT_EQ(BytesOfPatches(*bind_out), BytesOfPatches(*run_out));
-}
-
 TEST(BatchPipelineTest, MapErrorsPropagate) {
   PatchCollection input = RandomCollection(97, 5000);
   BatchPipeline pipeline;
@@ -607,7 +393,7 @@ TEST(ParallelSelectTest, MatchesSequentialFilter) {
   PatchCollection input = RandomCollection(99, 6000);
   for (int which = 0; which < 5; ++which) {
     ExprPtr pred = TestPredicate(which);
-    auto volcano = MakeVolcanoFilter(MakeVectorSource(input), pred);
+    auto volcano = MakeFilter(MakeVectorSource(input), pred);
     auto expected = CollectPatches(volcano.get());
     ASSERT_TRUE(expected.ok());
 

@@ -1,10 +1,11 @@
 // Differential harness for the morsel-parallel join and pre-merge
 // aggregation paths. Every parallel operator must produce byte-identical
 // results to (a) its own single-threaded core (MorselOptions.num_threads
-// = 1) and (b) a tuple-at-a-time oracle built from the MakeVolcano*
-// operators, across randomized inputs that vary batch geometry, key skew,
-// NULL density, and the empty/one-row edge shapes — plus determinism
-// under repetition for the ordered merge. The rounds below cover well
+// = 1) and (b) a tuple-at-a-time oracle built from the streaming
+// MakeFilter operator (Expr::EvalBool per tuple), across randomized
+// inputs that vary batch geometry, key skew, NULL density, and the
+// empty/one-row edge shapes — plus determinism under repetition for the
+// ordered merge. The rounds below cover well
 // over 100 distinct randomized inputs (24 hash-join pairs, 8 nested-loop
 // pairs, 8 ball-tree inputs, 96 aggregate rounds, plus the edge-shape and
 // planner sweeps).
@@ -25,7 +26,6 @@
 #include "core/database.h"
 #include "core/planner.h"
 #include "exec/aggregates.h"
-#include "exec/batch.h"
 #include "exec/expression.h"
 #include "exec/joins.h"
 #include "exec/operators.h"
@@ -103,7 +103,7 @@ std::vector<std::string> BytesOf(const std::vector<PatchTuple>& tuples) {
 // --- Volcano oracles --------------------------------------------------------
 
 // Enumerates the full cross product (left-major, both sides ascending) as
-// 2-tuples; feeding it through MakeVolcanoFilter is the θ-join oracle.
+// 2-tuples; feeding it through MakeFilter is the θ-join oracle.
 PatchIteratorPtr MakePairSource(const PatchCollection& lhs,
                                 const PatchCollection& rhs) {
   auto i = std::make_shared<size_t>(0);
@@ -125,7 +125,7 @@ PatchIteratorPtr MakePairSource(const PatchCollection& lhs,
 Result<std::vector<PatchTuple>> OracleJoin(const PatchCollection& lhs,
                                            const PatchCollection& rhs,
                                            const ExprPtr& predicate) {
-  auto plan = MakeVolcanoFilter(MakePairSource(lhs, rhs), predicate);
+  auto plan = MakeFilter(MakePairSource(lhs, rhs), predicate);
   return Collect(plan.get());
 }
 
@@ -133,7 +133,7 @@ Result<std::vector<PatchTuple>> OracleJoin(const PatchCollection& lhs,
 // input order (the reference row stream every aggregate oracle reduces).
 PatchCollection OracleSurvivors(const PatchCollection& rows,
                                 const ExprPtr& predicate) {
-  auto plan = predicate ? MakeVolcanoFilter(MakeVectorSource(rows), predicate)
+  auto plan = predicate ? MakeFilter(MakeVectorSource(rows), predicate)
                         : MakeVectorSource(rows);
   auto out = CollectPatches(plan.get());
   EXPECT_TRUE(out.ok()) << out.status().ToString();

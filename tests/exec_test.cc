@@ -176,38 +176,6 @@ TEST(OperatorTest, MapTransforms) {
   EXPECT_EQ((*rows)[4].meta().Get("doubled").AsInt().value(), 4);
 }
 
-TEST(OperatorTest, LimitStopsEarly) {
-  auto source = MakeVectorSource(SampleCollection());
-  auto limit = MakeLimit(std::move(source), 2);
-  EXPECT_EQ(Drain(limit.get()).value(), 2u);
-}
-
-TEST(OperatorTest, UnionConcatenates) {
-  std::vector<PatchIteratorPtr> children;
-  children.push_back(MakeVectorSource(SampleCollection()));
-  children.push_back(MakeVectorSource(SampleCollection()));
-  auto u = MakeUnion(std::move(children));
-  EXPECT_EQ(Drain(u.get()).value(), 10u);
-}
-
-TEST(OperatorTest, ProjectDropsPayloadAndKeys) {
-  Patch p = MakePatch(1, 0, "car");
-  p.set_pixels(Image(4, 4, 3));
-  p.set_features(Tensor::FromVector({1, 2}));
-  ProjectSpec spec;
-  spec.keep_pixels = false;
-  spec.keep_features = true;
-  spec.keep_meta_keys = {"label"};
-  auto project = MakeProject(MakeVectorSource({p}), spec);
-  auto rows = CollectPatches(project.get());
-  ASSERT_TRUE(rows.ok());
-  const Patch& out = (*rows)[0];
-  EXPECT_FALSE(out.has_pixels());
-  EXPECT_TRUE(out.has_features());
-  EXPECT_TRUE(out.meta().Contains("label"));
-  EXPECT_FALSE(out.meta().Contains("frameno"));
-}
-
 TEST(OperatorTest, GeneratorSourceEnds) {
   int remaining = 3;
   auto gen = MakeGeneratorSource(

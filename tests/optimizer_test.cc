@@ -661,5 +661,51 @@ TEST_F(OptimizerTest, SignedZeroKeysProbeLikeTheOracle) {
   }
 }
 
+TEST_F(OptimizerTest, StoredNaNKeysProbeLikeTheOracle) {
+  // A stored NaN compares equal to every number but encodes above +inf,
+  // so no probe of an index holding it would find it. BuildIndex records
+  // the NaN and the planner full-scans instead, on both index kinds.
+  const double nan = std::nan("");
+  const PatchCollection rows = FrameView(false, {MetaValue(nan)}).patches;
+  for (bool hash : {false, true}) {
+    const std::string name = hash ? "nan_hash" : "nan_btree";
+    ASSERT_TRUE(db_->RegisterView(name, rows).ok());
+    ASSERT_TRUE(db_->BuildIndex(name,
+                                hash ? IndexKind::kHash
+                                     : IndexKind::kBPlusTree,
+                                meta_keys::kFrameNo)
+                    .ok());
+    const ViewCache& view = *db_->GetView(name).value();
+    const struct {
+      ExprPtr pred;
+      bool probes_index;  // without the NaN, this index serves the plan
+    } cases[] = {
+        {Le(Frame(), Lit(5)), !hash},
+        {Ge(Frame(), Lit(190)), !hash},
+        {Eq(Frame(), Lit(5)), true},
+        {And(Ge(Frame(), Lit(40)), Le(Frame(), Lit(60))), !hash},
+    };
+    for (const auto& c : cases) {
+      const std::string label =
+          (hash ? "hash: " : "b+tree: ") + c.pred->ToString();
+      const PatchCollection oracle = SerialOracle(view, c.pred);
+      // The NaN row (row 0) passes every numeric comparison.
+      ASSERT_FALSE(oracle.empty()) << label;
+      EXPECT_EQ(oracle.front().id(), rows.front().id()) << label;
+      PlanExplanation plan;
+      auto scanned = Planner::ExecuteScan(view, c.pred, &plan);
+      ASSERT_TRUE(scanned.ok()) << label;
+      EXPECT_EQ(SerializeAll(*scanned), SerializeAll(oracle)) << label;
+      EXPECT_EQ(plan.path, AccessPath::kFullScan) << plan.description;
+      EXPECT_EQ(plan.description.find("NaN key") != std::string::npos,
+                c.probes_index)
+          << plan.description;
+      auto count = Planner::ExecuteScanCount(view, c.pred, nullptr);
+      ASSERT_TRUE(count.ok()) << label;
+      EXPECT_EQ(*count, oracle.size()) << label;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace deeplens
