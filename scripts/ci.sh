@@ -3,7 +3,8 @@
 #
 #   configure — cmake -B $BUILD_DIR
 #   build     — compile everything
-#   test      — full ctest suite
+#   test      — full ctest suite, then the `parallel`-labeled suites
+#               again under DEEPLENS_NUM_THREADS=1
 #   bench     — bench_micro_cache + bench_micro_pipeline_batch +
 #               bench_micro_store, then the regression gate
 #               (scripts/check_bench.py vs bench/baselines/)
@@ -50,6 +51,10 @@ stage_build() {
 
 stage_test() {
   (cd "$BUILD_DIR" && ctest --output-on-failure -j"$NPROC")
+  # The parallel suites again on a one-worker pool, where every plan is
+  # serial: results must not depend on the worker count.
+  (cd "$BUILD_DIR" &&
+    DEEPLENS_NUM_THREADS=1 ctest --output-on-failure -j"$NPROC" -L parallel)
 }
 
 stage_bench() {

@@ -386,14 +386,22 @@ bool EntryStillValid(const PlanCacheEntry& entry,
   return true;
 }
 
-// Access-path selection over the source conjuncts: equality-on-hash,
-// then equality-on-btree, then btree range; only slot-0 patterns are
-// sargable on a single-view scan. Fills path/index_key/description.
+// Access-path selection over the source conjuncts: a disk-backed view
+// streams its chunks (it holds no resident rows and no indexes); otherwise
+// equality-on-hash, then equality-on-btree, then btree range; only slot-0
+// patterns are sargable on a single-view scan. Fills
+// path/index_key/description.
 void ChooseAccessPath(const ViewCache& view,
                       const std::vector<ExprPtr>& conjuncts,
                       PlanCacheEntry* entry) {
+  if (view.disk_backed()) {
+    entry->path = AccessPath::kColumnarScan;
+    entry->base_description = "columnar chunk scan";
+    return;
+  }
   entry->path = AccessPath::kFullScan;
-  entry->base_description = "full scan (no usable index)";
+  entry->base_description = conjuncts.empty() ? "full scan (no predicate)"
+                                              : "full scan (no usable index)";
   for (const ExprPtr& c : conjuncts) {
     auto eq = MatchAttrEqLit(c);
     if (eq.has_value() && eq->slot == 0) {
@@ -469,6 +477,35 @@ PlanCacheEntry DecidePlan(const ViewCache& view,
   return entry;
 }
 
+// The per-query half of a columnar plan: the sargable conjuncts of the
+// executed predicate pushed into the reader (run during decode, below the
+// expression layer), the residual of its other conjuncts in ranked
+// order, the chunks whose footer zone maps admit the pushdown (known
+// before any I/O) and the static scan stats. Returns the description's
+// prune clause.
+std::string PlanColumnarScan(const ViewCache& view, ScanPlan* plan) {
+  plan->pushdown = columnar::ExtractPushdown(plan->exec_predicate);
+  plan->chunks = view.columnar->SelectChunks(plan->pushdown.preds);
+  ColumnarScanStats& stats = plan->explanation.columnar;
+  stats.used = true;
+  stats.chunks_total = view.columnar->num_chunks();
+  stats.chunks_pruned = stats.chunks_total - plan->chunks.size();
+  stats.sargable_conjuncts = plan->pushdown.preds.size();
+  stats.fully_sargable = plan->pushdown.residual == nullptr;
+  stats.prefetch_depth = columnar::PrefetchDepthFromEnv();
+  plan->explanation.candidates = view.columnar->total_rows();
+  std::ostringstream desc;
+  desc << ": zone maps pruned " << stats.chunks_pruned << "/"
+       << stats.chunks_total << " chunks, " << stats.sargable_conjuncts
+       << " pushed conjunct(s)";
+  if (plan->exec_predicate != nullptr) {
+    desc << (stats.fully_sargable ? " (fully sargable)"
+                                  : " + residual filter");
+  }
+  desc << ", prefetch depth " << stats.prefetch_depth;
+  return desc.str();
+}
+
 // Realizes a planning decision (fresh or replayed) against the fresh
 // conjunct decomposition: builds the executed predicate and the full
 // explanation.
@@ -480,7 +517,6 @@ ScanPlan BuildScanPlan(const ViewCache& view, const ExprPtr& predicate,
   PlanExplanation& ex = plan.explanation;
   ex.path = entry.path;
   ex.index_key = entry.index_key;
-  ex.description = entry.base_description;
   ex.reordered = entry.reordered;
   ex.plan_cache_hit = from_cache;
   ex.cascade.threshold = threshold;
@@ -523,6 +559,11 @@ ScanPlan BuildScanPlan(const ViewCache& view, const ExprPtr& predicate,
   plan.exec_predicate =
       (!entry.reordered && !any_cascade) ? predicate : exec;
 
+  ex.description = entry.base_description;
+  if (entry.path == AccessPath::kColumnarScan) {
+    ex.description += PlanColumnarScan(view, &plan);
+  }
+
   if (!ex.conjunct_costs.empty()) {
     ex.description += "; conjunct costs [" + costs.str() + "]";
   }
@@ -545,56 +586,9 @@ ScanPlan BuildScanPlan(const ViewCache& view, const ExprPtr& predicate,
   return plan;
 }
 
-PlanExplanation PlanColumnarScan(const ViewCache& view,
-                                 const ExprPtr& predicate) {
-  // Disk-backed view: no resident rows, no in-memory indexes. The scan
-  // streams chunks, pruned by footer zone maps against the sargable
-  // conjuncts — prune counts are known at plan time, before any I/O.
-  // Conjunct reordering and cascades do not apply: the pushdown already
-  // evaluates sargable conjuncts during decode, below the expression
-  // layer. (Cost-ranking the residual is an open follow-up.)
-  PlanExplanation plan;
-  plan.path = AccessPath::kColumnarScan;
-  const columnar::PredicatePushdown down =
-      columnar::ExtractPushdown(predicate);
-  const size_t total = view.columnar->num_chunks();
-  const size_t kept = view.columnar->SelectChunks(down.preds).size();
-  plan.columnar.used = true;
-  plan.columnar.chunks_total = total;
-  plan.columnar.chunks_pruned = total - kept;
-  plan.columnar.sargable_conjuncts = down.preds.size();
-  plan.columnar.fully_sargable = down.fully_sargable;
-  plan.columnar.prefetch_depth = columnar::PrefetchDepthFromEnv();
-  plan.candidates = view.columnar->total_rows();
-  std::ostringstream desc;
-  desc << "columnar chunk scan: zone maps pruned " << (total - kept) << "/"
-       << total << " chunks, " << down.preds.size()
-       << " pushed conjunct(s)";
-  if (predicate != nullptr) {
-    desc << (down.fully_sargable ? " (fully sargable)"
-                                 : " + residual filter");
-  }
-  desc << ", prefetch depth " << plan.columnar.prefetch_depth;
-  plan.description = desc.str();
-  return AnnotateUdfUse(std::move(plan), predicate);
-}
-
 }  // namespace
 
-ScanPlan Planner::PlanScanFull(const ViewCache& view,
-                               const ExprPtr& predicate) {
-  if (view.disk_backed()) {
-    ScanPlan plan;
-    plan.explanation = PlanColumnarScan(view, predicate);
-    plan.exec_predicate = predicate;
-    return plan;
-  }
-  if (!predicate) {
-    ScanPlan plan;
-    plan.explanation.description = "full scan (no predicate)";
-    return plan;
-  }
-
+ScanPlan Planner::PlanScan(const ViewCache& view, const ExprPtr& predicate) {
   std::vector<ExprPtr> source;
   CollectConjuncts(predicate, &source);
   std::vector<RankedConjunct> conjuncts;
@@ -606,8 +600,10 @@ ScanPlan Planner::PlanScanFull(const ViewCache& view,
   const double threshold = CascadeThresholdFromEnv();
   const uint64_t max_entries = PlanCacheEntriesFromEnv();
   // Hand-built ViewCaches (version 0) have no invalidation signal, so
-  // their plans are never memoized.
-  const bool memoizable = view.version != 0 && max_entries > 0;
+  // their plans are never memoized; nor is a scan with no predicate,
+  // which leaves nothing to decide.
+  const bool memoizable =
+      predicate != nullptr && view.version != 0 && max_entries > 0;
   const uint64_t shape = PredicateShapeKey(conjuncts, threshold);
 
   PlanCache* cache = PlanCache::Global();
@@ -631,11 +627,6 @@ ScanPlan Planner::PlanScanFull(const ViewCache& view,
   }
   return BuildScanPlan(view, predicate, conjuncts, entry, threshold,
                        /*from_cache=*/false);
-}
-
-PlanExplanation Planner::PlanScan(const ViewCache& view,
-                                  const ExprPtr& predicate) {
-  return PlanScanFull(view, predicate).explanation;
 }
 
 void Planner::FinalizeScanPlan(ScanPlan* plan) {
@@ -742,27 +733,21 @@ bool CollectIndexCandidates(const ViewCache& view, const ExprPtr& predicate,
 
 // Streams the zone-map-surviving chunks of a disk-backed view through the
 // decode-ahead loader and hands every passing row to `row_fn`
-// (Patch&& argument). Sargable conjuncts are applied inside the reader
+// (Patch&& argument). The pushed conjuncts are applied inside the reader
 // during decode (the same early-elimination the index paths perform);
-// when the pushdown does not cover the whole predicate the residual
-// compiled predicate re-runs over the materialized rows. Fills the
-// runtime half of `plan->columnar` from the loader's counters.
+// the executed predicate's other conjuncts (ranked, possibly cascaded)
+// run over the materialized rows. Fills the runtime half of
+// `plan->explanation.columnar` from the loader's counters.
 template <typename RowFn>
-Status DriveColumnarScan(const ViewCache& view, const ExprPtr& predicate,
-                         PlanExplanation* plan, const RowFn& row_fn) {
-  const std::shared_ptr<columnar::ColumnarReader> reader = view.columnar;
-  const columnar::PredicatePushdown down =
-      columnar::ExtractPushdown(predicate);
-  std::vector<size_t> chunks = reader->SelectChunks(down.preds);
-
+Status DriveColumnarScan(const ViewCache& view, ScanPlan* plan,
+                         const RowFn& row_fn) {
   columnar::ChunkReadOptions options;
-  options.row_filter = down.preds;
-  // Null pred compiles to always-true, so the fully-sargable case pays no
-  // per-row re-check above the reader.
-  const CompiledPredicate residual(down.fully_sargable ? ExprPtr{}
-                                                       : predicate);
+  options.row_filter = plan->pushdown.preds;
+  // A fully sargable plan has a null residual, which compiles to
+  // always-true: no per-row check above the reader.
+  const CompiledPredicate residual(plan->pushdown.residual);
 
-  columnar::AsyncChunkLoader loader(reader, std::move(chunks),
+  columnar::AsyncChunkLoader loader(view.columnar, plan->chunks,
                                     std::move(options));
   while (true) {
     DL_ASSIGN_OR_RETURN(auto rows, loader.Next());
@@ -777,14 +762,15 @@ Status DriveColumnarScan(const ViewCache& view, const ExprPtr& predicate,
   }
 
   const columnar::PrefetchStats pf = loader.stats();
-  plan->columnar.chunks_read = pf.chunks_loaded;
-  plan->columnar.rows_decoded = pf.rows_loaded;
-  plan->columnar.bytes_decoded = pf.bytes_decoded;
-  plan->columnar.prefetch_depth = pf.depth;
-  plan->columnar.prefetch_peak_bytes = pf.peak_queued_bytes;
-  plan->columnar.consumer_waits = pf.consumer_waits;
-  plan->columnar.budget_waits = pf.budget_waits;
-  plan->candidates = pf.rows_loaded;  // fetched before residual filtering
+  ColumnarScanStats& stats = plan->explanation.columnar;
+  stats.chunks_read = pf.chunks_loaded;
+  stats.rows_decoded = pf.rows_loaded;
+  stats.bytes_decoded = pf.bytes_decoded;
+  stats.prefetch_depth = pf.depth;
+  stats.prefetch_peak_bytes = pf.peak_queued_bytes;
+  stats.consumer_waits = pf.consumer_waits;
+  stats.budget_waits = pf.budget_waits;
+  plan->explanation.candidates = pf.rows_loaded;  // before the residual
   return Status::OK();
 }
 
@@ -793,18 +779,15 @@ Status DriveColumnarScan(const ViewCache& view, const ExprPtr& predicate,
 // value of `key` straight off its encoded columns
 // (ColumnarReader::FoldChunk), serially, with no Patch rows and no loader
 // queue. `fold_fn` gets (key value, rows) per group; a null `key` gives
-// one null group per chunk. Fills the runtime half of `plan->columnar`.
+// one null group per chunk. Fills the runtime half of the columnar stats.
 template <typename FoldFn>
-Status FoldColumnarScan(const ViewCache& view, const ExprPtr& predicate,
-                        const std::string* key, PlanExplanation* plan,
-                        const FoldFn& fold_fn) {
-  const columnar::ColumnarReader& reader = *view.columnar;
-  const columnar::PredicatePushdown down =
-      columnar::ExtractPushdown(predicate);
-  ColumnarScanStats& stats = plan->columnar;
-  for (size_t index : reader.SelectChunks(down.preds)) {
-    DL_ASSIGN_OR_RETURN(columnar::ChunkFold chunk,
-                        reader.FoldChunk(index, down.preds, key));
+Status FoldColumnarScan(const ViewCache& view, const std::string* key,
+                        ScanPlan* plan, const FoldFn& fold_fn) {
+  ColumnarScanStats& stats = plan->explanation.columnar;
+  for (size_t index : plan->chunks) {
+    DL_ASSIGN_OR_RETURN(
+        columnar::ChunkFold chunk,
+        view.columnar->FoldChunk(index, plan->pushdown.preds, key));
     ++stats.chunks_read;
     stats.rows_decoded += chunk.rows;
     stats.bytes_decoded += chunk.bytes_decoded;
@@ -812,66 +795,22 @@ Status FoldColumnarScan(const ViewCache& view, const ExprPtr& predicate,
       fold_fn(group.value, group.rows);
     }
   }
-  plan->candidates = stats.rows_decoded;
+  plan->explanation.candidates = stats.rows_decoded;
   return Status::OK();
 }
 
-}  // namespace
-
-Result<PatchCollection> Planner::ExecuteScan(const ViewCache& view,
-                                             const ExprPtr& predicate,
-                                             PlanExplanation* explanation) {
-  ScanPlan plan = PlanScanFull(view, predicate);
-  PlanExplanation& local = plan.explanation;
-
-  if (local.path == AccessPath::kColumnarScan) {
-    PatchCollection out;
-    DL_RETURN_NOT_OK(DriveColumnarScan(
-        view, predicate, &local,
-        [&](Patch&& p) { out.push_back(std::move(p)); }));
-    if (explanation != nullptr) *explanation = local;
-    return out;
-  }
-
-  std::vector<RowId> candidates;
-  const bool have_candidates =
-      CollectIndexCandidates(view, predicate, &local, &candidates);
-
-  PatchCollection out;
-  if (have_candidates) {
-    // Index-driven path: few candidates, so a single compiled-predicate
-    // pass beats spinning up morsels. The *executed* predicate still
-    // runs in ranked order over each candidate.
-    local.candidates = candidates.size();
-    const CompiledPredicate compiled(plan.exec_predicate);
-    for (RowId r : candidates) {
-      const Patch& p = view.patches[static_cast<size_t>(r)];
-      DL_ASSIGN_OR_RETURN(bool pass, compiled.EvalOnePatch(p));
-      if (pass) out.push_back(p);
-    }
-  } else {
-    // Full scan: morsel-parallel batch evaluation with ordered merge.
-    local.candidates = view.patches.size();
-    DL_ASSIGN_OR_RETURN(out,
-                        ParallelSelect(view.patches, plan.exec_predicate));
-  }
-  FinalizeScanPlan(&plan);
-  if (explanation != nullptr) *explanation = local;
-  return out;
-}
-
-namespace {
-
-// Shared skeleton of the aggregate scans: index-backed plans fold the
-// surviving candidates into `state` and finalize; disk-backed views whose
-// pushdown covers the predicate fold each chunk's per-key counts via
-// `fold` (no rows built), other disk-backed scans accumulate the streamed
-// chunk rows; full scans delegate to a pre-merge parallel aggregate run
-// over the *executed* (reordered/cascaded) predicate, which full_scan
-// receives as its argument. `accumulate` is (State*, const Patch&);
-// `fold` is (State*, const MetaValue& value of `fold_key`, uint64_t
-// rows), or nullptr for an aggregate that needs whole rows; `finalize`
-// is State -> Result<Out>, `full_scan` is (const ExprPtr&) -> Result<Out>.
+// The one scan loop every terminal runs on. Plans the scan, then:
+// columnar plans whose pushdown covers the predicate fold each chunk's
+// per-key counts via `fold` (no rows built), other columnar plans
+// accumulate the streamed chunk rows (moved, not copied); index-backed
+// plans accumulate the candidates that pass the executed predicate; full
+// scans delegate to `full_scan`, a pre-merge parallel run over the
+// *executed* (reordered/cascaded) predicate it receives as its argument.
+// `accumulate` is (State*, Patch&&) — a `const Patch&` parameter binds it
+// too; `fold` is (State*, const MetaValue& value of `fold_key`, uint64_t
+// rows), or nullptr for a terminal that needs whole rows; `finalize` is
+// State -> Result<Out>, `full_scan` is (const ExprPtr&) -> Result<Out>.
+// Cascade telemetry reaches the explanation on every path.
 template <typename State, typename AccumulateFn, typename FoldFn,
           typename FinalizeFn, typename FullScanFn>
 auto ExecuteAggregateScan(const ViewCache& view, const ExprPtr& predicate,
@@ -882,49 +821,58 @@ auto ExecuteAggregateScan(const ViewCache& view, const ExprPtr& predicate,
                           const FinalizeFn& finalize,
                           const FullScanFn& full_scan)
     -> decltype(full_scan(predicate)) {
-  ScanPlan plan = Planner::PlanScanFull(view, predicate);
+  ScanPlan plan = Planner::PlanScan(view, predicate);
   PlanExplanation& local = plan.explanation;
-  if (local.path == AccessPath::kColumnarScan) {
-    bool folded = false;
-    if constexpr (!std::is_null_pointer_v<FoldFn>) {
-      if (local.columnar.fully_sargable) {
-        DL_RETURN_NOT_OK(FoldColumnarScan(
-            view, predicate, fold_key, &local,
-            [&](const MetaValue& value, uint64_t rows) {
-              fold(&state, value, rows);
-            }));
-        folded = true;
+  auto result = [&]() -> decltype(full_scan(predicate)) {
+    if (local.path == AccessPath::kColumnarScan) {
+      if constexpr (!std::is_null_pointer_v<FoldFn>) {
+        if (local.columnar.fully_sargable) {
+          DL_RETURN_NOT_OK(FoldColumnarScan(
+              view, fold_key, &plan,
+              [&](const MetaValue& value, uint64_t rows) {
+                fold(&state, value, rows);
+              }));
+          return finalize(std::move(state));
+        }
       }
+      DL_RETURN_NOT_OK(DriveColumnarScan(view, &plan, [&](Patch&& p) {
+        accumulate(&state, std::move(p));
+      }));
+      return finalize(std::move(state));
     }
-    if (!folded) {
-      DL_RETURN_NOT_OK(DriveColumnarScan(
-          view, predicate, &local,
-          [&](Patch&& p) { accumulate(&state, p); }));
+    std::vector<RowId> candidates;
+    if (CollectIndexCandidates(view, predicate, &local, &candidates)) {
+      local.candidates = candidates.size();
+      const CompiledPredicate compiled(plan.exec_predicate);
+      for (RowId r : candidates) {
+        const Patch& p = view.patches[static_cast<size_t>(r)];
+        DL_ASSIGN_OR_RETURN(bool pass, compiled.EvalOnePatch(p));
+        if (pass) accumulate(&state, p);
+      }
+      return finalize(std::move(state));
     }
-    if (explanation != nullptr) *explanation = local;
-    return finalize(std::move(state));
-  }
-  std::vector<RowId> candidates;
-  if (CollectIndexCandidates(view, predicate, &local, &candidates)) {
-    local.candidates = candidates.size();
-    const CompiledPredicate compiled(plan.exec_predicate);
-    for (RowId r : candidates) {
-      const Patch& p = view.patches[static_cast<size_t>(r)];
-      DL_ASSIGN_OR_RETURN(bool pass, compiled.EvalOnePatch(p));
-      if (pass) accumulate(&state, p);
-    }
-    Planner::FinalizeScanPlan(&plan);
-    if (explanation != nullptr) *explanation = local;
-    return finalize(std::move(state));
-  }
-  local.candidates = view.patches.size();
-  auto result = full_scan(plan.exec_predicate);
+    local.candidates = view.patches.size();
+    return full_scan(plan.exec_predicate);
+  }();
   Planner::FinalizeScanPlan(&plan);
   if (explanation != nullptr) *explanation = local;
   return result;
 }
 
 }  // namespace
+
+Result<PatchCollection> Planner::ExecuteScan(const ViewCache& view,
+                                             const ExprPtr& predicate,
+                                             PlanExplanation* explanation) {
+  return ExecuteAggregateScan(
+      view, predicate, explanation, /*fold_key=*/nullptr, PatchCollection{},
+      [](PatchCollection* out, Patch p) { out->push_back(std::move(p)); },
+      /*fold=*/nullptr,
+      [](PatchCollection out) {
+        return Result<PatchCollection>(std::move(out));
+      },
+      [&](const ExprPtr& pred) { return ParallelSelect(view.patches, pred); });
+}
 
 Result<uint64_t> Planner::ExecuteScanCount(const ViewCache& view,
                                            const ExprPtr& predicate,

@@ -18,6 +18,7 @@
 #include "exec/expression_patterns.h"
 #include "exec/joins.h"
 #include "exec/nn_udf.h"
+#include "storage/columnar/format.h"
 
 namespace deeplens {
 
@@ -35,7 +36,8 @@ const char* AccessPathName(AccessPath path);
 /// Execution report of a columnar chunk scan: how much the zone maps
 /// pruned without I/O, what the decode-ahead loader actually did, and how
 /// far the pushdown reached. Static fields (totals, pruned count, depth)
-/// are known at plan time; the runtime counters fill in after execution.
+/// are known at plan time — per query, since they follow the literals —
+/// and the runtime counters fill in after execution.
 struct ColumnarScanStats {
   bool used = false;
   uint64_t chunks_total = 0;
@@ -98,8 +100,8 @@ struct PlanExplanation {
   bool uses_inference_cache = false;
   /// Filled when `path` is kColumnarScan (disk-backed view).
   ColumnarScanStats columnar;
-  /// Per-conjunct cost estimates in executed order; empty for plans the
-  /// optimizer does not decompose (no predicate, columnar pushdown).
+  /// Per-conjunct cost estimates in executed order; empty only when the
+  /// scan has no predicate.
   std::vector<ConjunctCost> conjunct_costs;
   /// True when the executed conjunct order differs from the written one.
   bool reordered = false;
@@ -157,6 +159,8 @@ uint64_t PlanCacheEntriesFromEnv();
 /// A fully planned scan: the explanation plus the predicate to actually
 /// execute (conjuncts reordered by estimated cost-per-surviving-row,
 /// expensive proxy-capable conjuncts optionally wrapped in cascades).
+/// Resident and disk-backed views plan alike; a disk-backed view's plan
+/// also carries the reader pushdown and the chunks it keeps.
 /// Reordering never changes the result set — AND is commutative and both
 /// the index path and the morsel driver's ordered merge preserve source
 /// row order — though when several conjuncts would *error* on the same
@@ -170,23 +174,28 @@ struct ScanPlan {
   /// cascade was inserted. Execution fills them; FinalizeScanPlan copies
   /// them into the explanation.
   std::shared_ptr<CascadeTelemetry> telemetry;
+  /// Disk-backed views only: exec_predicate split into the sargable
+  /// conjuncts pushed into the chunk reader and the residual that runs
+  /// above it, and the chunks (in order) whose zone maps admit the
+  /// pushdown. They depend on the literals, so they are computed per
+  /// query, also when the rest of the plan is replayed from the plan
+  /// cache.
+  columnar::PredicatePushdown pushdown;
+  std::vector<size_t> chunks;
 };
 
-/// \brief The planner. Stateless; all inputs are explicit.
+/// \brief The planner. Its only state is the process-wide memoized-plan
+/// cache (and the CostModel it reads); every other input is explicit.
 class Planner {
  public:
-  /// Chooses an access path for `predicate` over `view` given the indexes
-  /// that exist on it.
-  static PlanExplanation PlanScan(const ViewCache& view,
-                                  const ExprPtr& predicate);
-
-  /// Full planning: access path + cost-ranked conjunct order + cascade
-  /// insertion + plan memoization. Plans for Database-registered views
-  /// (version != 0) are memoized per (view version, predicate shape,
-  /// cascade threshold) and replayed until the view changes or a UDF's
-  /// observed runtime drifts beyond 2x from the memoized snapshot.
-  static ScanPlan PlanScanFull(const ViewCache& view,
-                               const ExprPtr& predicate);
+  /// Plans a scan of `view`: access path (a disk-backed view streams its
+  /// chunks; a resident one picks from the indexes that exist on it) +
+  /// cost-ranked conjunct order + cascade insertion + plan memoization.
+  /// Plans for Database-registered views (version != 0) are memoized per
+  /// (view version, predicate shape, cascade threshold) and replayed until
+  /// the view changes or a UDF's observed runtime drifts beyond 2x from
+  /// the memoized snapshot.
+  static ScanPlan PlanScan(const ViewCache& view, const ExprPtr& predicate);
 
   /// Copies a finished scan's cascade telemetry into its explanation and
   /// computes the audit-slice accuracy estimate.
@@ -204,20 +213,21 @@ class Planner {
   /// Drops all memoized plans and zeroes the stats (test isolation).
   static void ResetPlanCacheForTest();
 
-  /// Executes a scan with the chosen plan: index-driven candidate fetch,
-  /// then residual predicate. Returns matching patches.
+  // --- Scan terminals ----------------------------------------------------
+  // Every terminal runs on one scan loop over the plan: index-driven plans
+  // reduce the candidate rows that pass the executed predicate, full scans
+  // run the reduction below the morsel pipeline's ordered merge
+  // (exec/aggregates.h), and columnar scans reduce the rows the chunk
+  // loader streams, with the executed predicate's unpushed conjuncts as
+  // the residual above the reader. Count / CountDistinct / GroupCount
+  // over an attached view whose pushdown covers the predicate fold each
+  // chunk off its encoded columns (ColumnarReader::FoldChunk), so no path
+  // materializes the surviving patches just to reduce them.
+
+  /// The matching patches, in row order.
   static Result<PatchCollection> ExecuteScan(const ViewCache& view,
                                              const ExprPtr& predicate,
                                              PlanExplanation* explanation);
-
-  // --- Aggregate scans (pre-merge pushdown) -----------------------------
-  // The aggregate analogues of ExecuteScan: index-driven plans aggregate
-  // over the candidate rows directly, full scans run the aggregation
-  // below the morsel driver's merge (exec/aggregates.h), and Count /
-  // CountDistinct / GroupCount over an attached view whose pushdown
-  // covers the predicate fold each chunk off its encoded columns
-  // (ColumnarReader::FoldChunk), so no path materializes the surviving
-  // patches just to reduce them.
 
   /// COUNT(*) of the rows matching `predicate`.
   static Result<uint64_t> ExecuteScanCount(const ViewCache& view,

@@ -1,7 +1,5 @@
 #include "core/query.h"
 
-#include <unordered_set>
-
 namespace deeplens {
 
 Query::Query(Database* db, std::string view)
@@ -23,8 +21,6 @@ Query& Query::Limit(size_t limit) {
   return *this;
 }
 
-ExprPtr Query::CombinedPredicate() const { return predicate_; }
-
 Status Query::ValidatePredicate() const {
   if (schema_.has_value() && predicate_) {
     DL_RETURN_NOT_OK(predicate_->Validate({*schema_}));
@@ -32,85 +28,68 @@ Status Query::ValidatePredicate() const {
   return Status::OK();
 }
 
-Result<PatchCollection> Query::Run(PlanExplanation* explanation) {
+Result<PatchCollection> Query::Execute() {
   DL_RETURN_NOT_OK(ValidatePredicate());
   DL_ASSIGN_OR_RETURN(ViewCache * view, db_->GetView(view_));
   DL_ASSIGN_OR_RETURN(PatchCollection out,
-                      Planner::ExecuteScan(*view, predicate_, explanation));
+                      Planner::ExecuteScan(*view, predicate_, nullptr));
   if (limit_.has_value() && out.size() > *limit_) {
     out.resize(*limit_);
   }
   return out;
 }
 
-Result<PatchCollection> Query::Execute() { return Run(nullptr); }
-
 // The aggregate terminals push the reduction into the scan
 // (Planner::ExecuteScan* → exec/aggregates.h), so full scans aggregate
 // below the morsel driver's merge and never materialize survivors. A
-// Limit() changes which rows the aggregate sees, so limited queries keep
-// the materializing path.
-
-Result<uint64_t> Query::Count() {
+// Limit() changes which rows the aggregate sees: a limited query
+// materializes its first `limit` matches into `scratch`, a hand-built
+// view, and the terminal reduces all of it with no predicate.
+Result<const ViewCache*> Query::Source(ViewCache* scratch,
+                                       ExprPtr* predicate) {
   if (limit_.has_value()) {
-    DL_ASSIGN_OR_RETURN(PatchCollection out, Run(nullptr));
-    return static_cast<uint64_t>(out.size());
+    DL_ASSIGN_OR_RETURN(scratch->patches, Execute());
+    predicate->reset();
+    return scratch;
   }
   DL_RETURN_NOT_OK(ValidatePredicate());
+  *predicate = predicate_;
   DL_ASSIGN_OR_RETURN(ViewCache * view, db_->GetView(view_));
-  return Planner::ExecuteScanCount(*view, predicate_, nullptr);
+  return view;
+}
+
+Result<uint64_t> Query::Count() {
+  ViewCache scratch;
+  ExprPtr predicate;
+  DL_ASSIGN_OR_RETURN(const ViewCache* view, Source(&scratch, &predicate));
+  return Planner::ExecuteScanCount(*view, predicate, nullptr);
 }
 
 Result<uint64_t> Query::CountDistinct(const std::string& key) {
-  if (limit_.has_value()) {
-    DL_ASSIGN_OR_RETURN(PatchCollection out, Run(nullptr));
-    std::unordered_set<std::string> seen;
-    for (const Patch& p : out) {
-      seen.insert(p.meta().Get(key).ToIndexKey());
-    }
-    return static_cast<uint64_t>(seen.size());
-  }
-  DL_RETURN_NOT_OK(ValidatePredicate());
-  DL_ASSIGN_OR_RETURN(ViewCache * view, db_->GetView(view_));
-  return Planner::ExecuteScanCountDistinct(*view, key, predicate_, nullptr);
+  ViewCache scratch;
+  ExprPtr predicate;
+  DL_ASSIGN_OR_RETURN(const ViewCache* view, Source(&scratch, &predicate));
+  return Planner::ExecuteScanCountDistinct(*view, key, predicate, nullptr);
 }
 
 Result<std::map<std::string, uint64_t>> Query::GroupCount(
     const std::string& key) {
-  if (limit_.has_value()) {
-    DL_ASSIGN_OR_RETURN(PatchCollection out, Run(nullptr));
-    std::map<std::string, uint64_t> groups;
-    for (const Patch& p : out) {
-      ++groups[p.meta().Get(key).ToDisplayString()];
-    }
-    return groups;
-  }
-  DL_RETURN_NOT_OK(ValidatePredicate());
-  DL_ASSIGN_OR_RETURN(ViewCache * view, db_->GetView(view_));
-  return Planner::ExecuteScanGroupCount(*view, key, predicate_, nullptr);
+  ViewCache scratch;
+  ExprPtr predicate;
+  DL_ASSIGN_OR_RETURN(const ViewCache* view, Source(&scratch, &predicate));
+  return Planner::ExecuteScanGroupCount(*view, key, predicate, nullptr);
 }
 
 Result<std::optional<Patch>> Query::FirstBy(const std::string& order_key) {
-  if (limit_.has_value()) {
-    DL_ASSIGN_OR_RETURN(PatchCollection out, Run(nullptr));
-    const Patch* best = nullptr;
-    for (const Patch& p : out) {
-      if (best == nullptr ||
-          p.meta().Get(order_key) < best->meta().Get(order_key)) {
-        best = &p;
-      }
-    }
-    if (best == nullptr) return std::optional<Patch>();
-    return std::optional<Patch>(*best);
-  }
-  DL_RETURN_NOT_OK(ValidatePredicate());
-  DL_ASSIGN_OR_RETURN(ViewCache * view, db_->GetView(view_));
-  return Planner::ExecuteScanMinBy(*view, order_key, predicate_, nullptr);
+  ViewCache scratch;
+  ExprPtr predicate;
+  DL_ASSIGN_OR_RETURN(const ViewCache* view, Source(&scratch, &predicate));
+  return Planner::ExecuteScanMinBy(*view, order_key, predicate, nullptr);
 }
 
 Result<PlanExplanation> Query::Explain() {
   DL_ASSIGN_OR_RETURN(ViewCache * view, db_->GetView(view_));
-  return Planner::PlanScan(*view, predicate_);
+  return Planner::PlanScan(*view, predicate_).explanation;
 }
 
 }  // namespace deeplens

@@ -51,9 +51,10 @@ class Query {
   Result<PlanExplanation> Explain();
 
  private:
-  Result<PatchCollection> Run(PlanExplanation* explanation);
+  /// The view and predicate an aggregate terminal reduces; `scratch`
+  /// holds a limited query's matches.
+  Result<const ViewCache*> Source(ViewCache* scratch, ExprPtr* predicate);
   Status ValidatePredicate() const;
-  ExprPtr CombinedPredicate() const;
 
   Database* db_;
   std::string view_;

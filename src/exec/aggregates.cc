@@ -12,21 +12,6 @@ namespace deeplens {
 
 namespace {
 
-// Folds `value` into `slot` under the chosen reduction.
-void FoldNumeric(NumericAgg agg, double value, bool fresh, double* slot) {
-  switch (agg) {
-    case NumericAgg::kSum:
-      *slot = fresh ? value : *slot + value;
-      break;
-    case NumericAgg::kMin:
-      *slot = fresh ? value : std::min(*slot, value);
-      break;
-    case NumericAgg::kMax:
-      *slot = fresh ? value : std::max(*slot, value);
-      break;
-  }
-}
-
 // Morsel-parallel scan driver for aggregation: evaluates `predicate`
 // against [lo, hi) of the source rows in place and calls
 // update(&partials[m], row_index) for every surviving row, in row order
@@ -65,78 +50,64 @@ Result<std::vector<Partial>> AggregateMorsels(const PatchCollection& rows,
 // group-count cases (a handful of labels) on the serial merge.
 constexpr size_t kPartitionedMergeMinEntries = 4096;
 
-// Partition-wise parallel merge of per-morsel hash-table partials: group
-// keys are scattered into hash partitions (each group lands wholly in one
-// partition), then every partition folds its groups across morsels *in
-// morsel order* — exactly the serial merge's fold order per group, so
-// floating-point sums stay bit-identical. `fold(slot, fresh, value)`
-// combines one partial value into the group's slot.
-template <typename V, typename FoldFn>
-Result<std::map<std::string, V>> MergeGroupPartials(
-    const std::vector<std::unordered_map<std::string, V>>& partials,
-    const MorselOptions& options, const FoldFn& fold) {
+// The hash-partition count, as log2, of a partition-wise merge of
+// per-morsel partials: about two partitions per worker, at most 64. 0
+// keeps the merge serial — one worker, a caller already on a pool worker,
+// or too few entries to pay for the scatter.
+template <typename Partial>
+size_t MergePartitionBits(const std::vector<Partial>& partials,
+                          const MorselOptions& options) {
   size_t entries = 0;
-  for (const auto& partial : partials) entries += partial.size();
+  for (const Partial& partial : partials) entries += partial.size();
   const size_t workers = ResolveMorselWorkers(options);
   if (workers <= 1 || ThreadPool::InWorker() ||
       entries < kPartitionedMergeMinEntries) {
-    std::map<std::string, V> groups;
-    for (const auto& partial : partials) {
-      for (const auto& [group, value] : partial) {
-        auto [iter, inserted] = groups.emplace(group, V{});
-        fold(&iter->second, inserted, value);
-      }
-    }
-    return groups;
+    return 0;
   }
+  size_t bits = 0;
+  while ((size_t{1} << bits) < workers * 2 && bits < 6) ++bits;
+  return bits;
+}
 
-  size_t log2_parts = 0;
-  while ((size_t{1} << log2_parts) < workers * 2 && log2_parts < 6) {
-    ++log2_parts;
-  }
-  const size_t num_parts = size_t{1} << log2_parts;
+// The key a partial's entry is partitioned on: a set's element, a map's
+// key.
+const std::string& EntryKey(const std::string& key) { return key; }
+template <typename V>
+const std::string& EntryKey(const std::pair<const std::string, V>& entry) {
+  return entry.first;
+}
 
-  // Scatter each morsel's entries into per-partition buckets (parallel
-  // over morsels)...
-  std::vector<std::vector<std::vector<std::pair<std::string, V>>>> buckets(
-      partials.size());
+// Partition-wise merge of per-morsel hash partials. Scatters every entry
+// into one of 2^bits hash partitions (parallel over morsels; each key
+// lands wholly in one partition), then calls merge(p, &buckets) once per
+// partition (parallel over partitions, zero shared state). buckets[m][p]
+// holds morsel m's entries of partition p in the partial's iteration
+// order, so a merge that walks the morsels in index order folds each key
+// in the serial merge's order.
+template <typename Entry, typename Partial, typename MergeFn>
+Status PartitionedMerge(const std::vector<Partial>& partials, size_t bits,
+                        const MorselOptions& options, const MergeFn& merge) {
+  const size_t num_parts = size_t{1} << bits;
+  std::vector<std::vector<std::vector<Entry>>> buckets(partials.size());
   DL_RETURN_NOT_OK(DispatchMorsels(
       partials.size(), PlanUnitTasks(partials.size(), options),
       [&](size_t, size_t lo, size_t hi) -> Status {
         for (size_t m = lo; m < hi; ++m) {
           buckets[m].resize(num_parts);
-          for (const auto& [group, value] : partials[m]) {
-            const size_t p =
-                RadixPartitionOf(RadixHashKey(group), log2_parts);
-            buckets[m][p].emplace_back(group, value);
+          for (const auto& entry : partials[m]) {
+            buckets[m][RadixPartitionOf(RadixHashKey(EntryKey(entry)), bits)]
+                .emplace_back(entry);
           }
         }
         return Status::OK();
       }));
-
-  // ...then fold each partition across morsels in morsel order (parallel
-  // over partitions; zero shared state).
-  std::vector<std::map<std::string, V>> part_groups(num_parts);
-  DL_RETURN_NOT_OK(DispatchMorsels(
-      num_parts, PlanUnitTasks(num_parts, options),
-      [&](size_t, size_t lo, size_t hi) -> Status {
-        for (size_t p = lo; p < hi; ++p) {
-          std::map<std::string, V>& groups = part_groups[p];
-          for (auto& morsel : buckets) {
-            for (auto& [group, value] : morsel[p]) {
-              auto [iter, inserted] = groups.emplace(std::move(group), V{});
-              fold(&iter->second, inserted, value);
-            }
-          }
-        }
-        return Status::OK();
-      }));
-
-  std::map<std::string, V> groups;
-  for (std::map<std::string, V>& part : part_groups) {
-    groups.merge(part);
-  }
-  return groups;
+  return DispatchMorsels(num_parts, PlanUnitTasks(num_parts, options),
+                         [&](size_t, size_t lo, size_t hi) -> Status {
+                           for (size_t p = lo; p < hi; ++p) {
+                             merge(p, &buckets);
+                           }
+                           return Status::OK();
+                         });
 }
 
 }  // namespace
@@ -166,11 +137,8 @@ Result<uint64_t> ParallelCountDistinctKey(const PatchCollection& rows,
                                    seen->insert(
                                        rows[i].meta().Get(key).ToIndexKey());
                                  })));
-  size_t entries = 0;
-  for (const Partial& partial : partials) entries += partial.size();
-  const size_t workers = ResolveMorselWorkers(options);
-  if (workers <= 1 || ThreadPool::InWorker() ||
-      entries < kPartitionedMergeMinEntries) {
+  const size_t bits = MergePartitionBits(partials, options);
+  if (bits == 0) {
     std::unordered_set<std::string> seen;
     for (Partial& partial : partials) {
       seen.merge(partial);
@@ -179,36 +147,14 @@ Result<uint64_t> ParallelCountDistinctKey(const PatchCollection& rows,
   }
   // Partition-wise distinct union: every key lands in exactly one hash
   // partition, so per-partition set sizes sum to the global count.
-  size_t log2_parts = 0;
-  while ((size_t{1} << log2_parts) < workers * 2 && log2_parts < 6) {
-    ++log2_parts;
-  }
-  const size_t num_parts = size_t{1} << log2_parts;
-  std::vector<std::vector<std::vector<std::string>>> buckets(partials.size());
-  DL_RETURN_NOT_OK(DispatchMorsels(
-      partials.size(), PlanUnitTasks(partials.size(), options),
-      [&](size_t, size_t lo, size_t hi) -> Status {
-        for (size_t m = lo; m < hi; ++m) {
-          buckets[m].resize(num_parts);
-          for (const std::string& k : partials[m]) {
-            buckets[m][RadixPartitionOf(RadixHashKey(k), log2_parts)]
-                .push_back(k);
-          }
+  std::vector<uint64_t> part_counts(size_t{1} << bits, 0);
+  DL_RETURN_NOT_OK(PartitionedMerge<std::string>(
+      partials, bits, options, [&](size_t p, auto* buckets) {
+        std::unordered_set<std::string> seen;
+        for (auto& morsel : *buckets) {
+          for (std::string& k : morsel[p]) seen.insert(std::move(k));
         }
-        return Status::OK();
-      }));
-  std::vector<uint64_t> part_counts(num_parts, 0);
-  DL_RETURN_NOT_OK(DispatchMorsels(
-      num_parts, PlanUnitTasks(num_parts, options),
-      [&](size_t, size_t lo, size_t hi) -> Status {
-        for (size_t p = lo; p < hi; ++p) {
-          std::unordered_set<std::string> seen;
-          for (auto& morsel : buckets) {
-            for (std::string& k : morsel[p]) seen.insert(std::move(k));
-          }
-          part_counts[p] = seen.size();
-        }
-        return Status::OK();
+        part_counts[p] = seen.size();
       }));
   uint64_t total = 0;
   for (uint64_t c : part_counts) total += c;
@@ -225,31 +171,28 @@ Result<std::map<std::string, uint64_t>> ParallelGroupByCount(
           rows, predicate, options, [&](Partial* groups, size_t i) {
             ++(*groups)[rows[i].meta().Get(key).ToDisplayString()];
           })));
-  return MergeGroupPartials<uint64_t>(
-      partials, options,
-      [](uint64_t* slot, bool, uint64_t count) { *slot += count; });
-}
-
-Result<std::map<std::string, double>> ParallelGroupByNumeric(
-    const PatchCollection& rows, const std::string& group_key,
-    const std::string& value_key, NumericAgg agg, const ExprPtr& predicate,
-    const MorselOptions& options) {
-  using Partial = std::unordered_map<std::string, double>;
-  DL_ASSIGN_OR_RETURN(
-      std::vector<Partial> partials,
-      (AggregateMorsels<Partial>(
-          rows, predicate, options, [&](Partial* groups, size_t i) {
-            const Patch& p = rows[i];
-            auto num = p.meta().Get(value_key).AsNumeric();
-            if (!num.ok()) return;  // non-numeric values don't aggregate
-            auto [iter, inserted] = groups->emplace(
-                p.meta().Get(group_key).ToDisplayString(), 0.0);
-            FoldNumeric(agg, num.value(), inserted, &iter->second);
-          })));
-  return MergeGroupPartials<double>(
-      partials, options, [agg](double* slot, bool fresh, double value) {
-        FoldNumeric(agg, value, fresh, slot);
-      });
+  std::map<std::string, uint64_t> groups;
+  const size_t bits = MergePartitionBits(partials, options);
+  if (bits == 0) {
+    for (const Partial& partial : partials) {
+      for (const auto& [group, count] : partial) groups[group] += count;
+    }
+    return groups;
+  }
+  std::vector<std::map<std::string, uint64_t>> part_groups(
+      size_t{1} << bits);
+  DL_RETURN_NOT_OK((PartitionedMerge<std::pair<std::string, uint64_t>>(
+      partials, bits, options, [&](size_t p, auto* buckets) {
+        for (auto& morsel : *buckets) {
+          for (auto& [group, count] : morsel[p]) {
+            part_groups[p][std::move(group)] += count;
+          }
+        }
+      })));
+  for (std::map<std::string, uint64_t>& part : part_groups) {
+    groups.merge(part);
+  }
+  return groups;
 }
 
 Result<std::optional<Patch>> ParallelMinBy(const PatchCollection& rows,

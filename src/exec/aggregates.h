@@ -15,22 +15,14 @@
 
 namespace deeplens {
 
-/// Which numeric reduction a group-by computes per group. Rows whose
-/// `value_key` is missing or non-numeric don't aggregate (and don't
-/// create their group).
-enum class NumericAgg { kSum, kMin, kMax };
-
 // --- Pre-merge parallel aggregation ---------------------------------------
 //
 // Each Parallel* function evaluates `predicate` (null = keep everything)
 // against the source rows inside the morsel workers — late
 // materialization, survivors are never copied — accumulates per-morsel
-// partials, and combines the partials in morsel-index order.
-// Count/Min/Max/GroupBy combine associatively, so results are identical
-// to a serial scan for any morsel geometry. kSum adds each morsel's
-// partial in morsel order: deterministic run-to-run for a fixed geometry,
-// exact for integer-valued doubles, but floating-point sums may round
-// differently than a serial left-to-right scan.
+// partials, and combines the partials in morsel-index order. Every
+// reduction here combines associatively, so results are identical to a
+// serial scan for any morsel geometry.
 
 /// COUNT(*) over the rows passing `predicate`.
 Result<uint64_t> ParallelCount(const PatchCollection& rows,
@@ -46,13 +38,6 @@ Result<uint64_t> ParallelCountDistinctKey(const PatchCollection& rows,
 /// Group-by `key` → count over the rows passing `predicate`.
 Result<std::map<std::string, uint64_t>> ParallelGroupByCount(
     const PatchCollection& rows, const std::string& key,
-    const ExprPtr& predicate = nullptr, const MorselOptions& options = {});
-
-/// Group-by `group_key` → numeric reduction of `value_key` over the rows
-/// passing `predicate`.
-Result<std::map<std::string, double>> ParallelGroupByNumeric(
-    const PatchCollection& rows, const std::string& group_key,
-    const std::string& value_key, NumericAgg agg,
     const ExprPtr& predicate = nullptr, const MorselOptions& options = {});
 
 /// The earliest surviving row with the minimal `order_key` value (ties

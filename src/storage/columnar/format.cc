@@ -156,7 +156,8 @@ PredicatePushdown ExtractPushdown(const ExprPtr& predicate) {
       down.preds.push_back(ColumnPredicate{op, std::move(key),
                                            std::move(value)});
     } else {
-      down.fully_sargable = false;
+      down.residual = down.residual ? And(std::move(down.residual), conjunct)
+                                    : conjunct;
     }
   }
   return down;

@@ -117,13 +117,13 @@ struct ColumnPredicate {
 };
 
 /// The pushdown the planner extracted from a predicate tree: every
-/// top-level conjunct of the slot-0 attr-vs-literal shape. When
-/// `fully_sargable` is true the conjuncts are the whole predicate and
-/// the reader's row filter alone decides membership; otherwise the
-/// residual predicate must still run over the materialized rows.
+/// top-level conjunct of the slot-0 attr-vs-literal shape. `residual` —
+/// the other conjuncts, ANDed in their order — must still run over the
+/// materialized rows; when it is null the conjuncts are the whole
+/// predicate and the reader's row filter alone decides membership.
 struct PredicatePushdown {
   std::vector<ColumnPredicate> preds;
-  bool fully_sargable = true;
+  ExprPtr residual;
 };
 
 PredicatePushdown ExtractPushdown(const ExprPtr& predicate);

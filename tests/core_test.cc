@@ -3,8 +3,10 @@
 // and the planner's access-path / join-strategy decisions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -503,6 +505,76 @@ TEST_F(DatabaseTest, QueryTerminals) {
   auto limited = Query(db_.get(), "v").Limit(7).Execute();
   ASSERT_TRUE(limited.ok());
   EXPECT_EQ(limited->size(), 7u);
+}
+
+TEST_F(DatabaseTest, LimitedAggregateTerminalsMatchOracle) {
+  // A Limit() caps the rows every aggregate terminal reduces to the first
+  // `limit` matches in row order. Checked on a resident view and on a
+  // disk-backed copy of the same rows, with the limit below, at and above
+  // the match count. "rank" is not monotone in row order, so FirstBy has
+  // a real argmin to find; "frameno" repeats, so distinct < count.
+  PatchCollection rows = LabeledPatches();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i].mutable_meta().Set("rank", static_cast<int64_t>((i * 37) % 100));
+  }
+  ASSERT_TRUE(db_->RegisterView("resident", rows).ok());
+  ASSERT_TRUE(db_->RegisterView("disk", rows).ok());
+  ASSERT_TRUE(db_->PersistView("disk").ok());
+  ASSERT_TRUE(db_->AttachPersistedView("disk").ok());
+  ASSERT_TRUE(db_->GetView("disk").value()->disk_backed());
+
+  const ExprPtr car = Eq(Attr(meta_keys::kLabel), Lit("car"));
+  const ExprPtr opaque = And(
+      Gt(Add(Attr(meta_keys::kFrameNo), Lit(int64_t{0})), Lit(int64_t{3})),
+      car);
+  for (const ExprPtr& pred : {car, opaque, ExprPtr{}}) {
+    PatchCollection matches;
+    for (const Patch& p : rows) {
+      if (!pred || pred->EvalBool(PatchTuple{p}).value()) matches.push_back(p);
+    }
+    ASSERT_FALSE(matches.empty());
+    for (size_t limit : {matches.size() / 2, matches.size(),
+                         matches.size() + 9}) {
+      const PatchCollection head(
+          matches.begin(),
+          matches.begin() + static_cast<ptrdiff_t>(
+                                std::min(limit, matches.size())));
+      std::set<std::string> distinct;
+      std::map<std::string, uint64_t> groups;
+      const Patch* first = nullptr;
+      for (const Patch& p : head) {
+        distinct.insert(p.meta().Get(meta_keys::kFrameNo).ToIndexKey());
+        ++groups[p.meta().Get(meta_keys::kFrameNo).ToDisplayString()];
+        if (first == nullptr ||
+            p.meta().Get("rank").Compare(first->meta().Get("rank")) < 0) {
+          first = &p;
+        }
+      }
+      for (const char* view : {"resident", "disk"}) {
+        SCOPED_TRACE(std::string(view) + " limit " + std::to_string(limit) +
+                     " pred " + (pred ? pred->ToString() : "none"));
+        auto query = [&] {
+          Query q(db_.get(), view);
+          if (pred) q.Where(pred);
+          q.Limit(limit);
+          return q;
+        };
+        auto count = query().Count();
+        ASSERT_TRUE(count.ok()) << count.status().ToString();
+        EXPECT_EQ(*count, head.size());
+        auto distinct_count = query().CountDistinct(meta_keys::kFrameNo);
+        ASSERT_TRUE(distinct_count.ok());
+        EXPECT_EQ(*distinct_count, distinct.size());
+        auto group_count = query().GroupCount(meta_keys::kFrameNo);
+        ASSERT_TRUE(group_count.ok());
+        EXPECT_EQ(*group_count, groups);
+        auto first_by = query().FirstBy("rank");
+        ASSERT_TRUE(first_by.ok());
+        ASSERT_TRUE(first_by->has_value());
+        EXPECT_EQ((**first_by).id(), first->id());
+      }
+    }
+  }
 }
 
 TEST(PlannerTest, SimJoinCostModelPrefersIndexForLargeInputs) {

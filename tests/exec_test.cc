@@ -342,14 +342,6 @@ TEST(AggregateTest, GroupByCount) {
   EXPECT_EQ((*groups)["'person'"], 2u);
 }
 
-TEST(AggregateTest, GroupByMin) {
-  auto mins = ParallelGroupByNumeric(SampleCollection(), "label", "score",
-                                     NumericAgg::kMin);
-  ASSERT_TRUE(mins.ok());
-  EXPECT_DOUBLE_EQ((*mins)["'car'"], 0.7);
-  EXPECT_DOUBLE_EQ((*mins)["'person'"], 0.4);
-}
-
 TEST(AggregateTest, SortByKey) {
   auto sorted = SortByKey({{MakePatch(1, 9, "a")},
                            {MakePatch(2, 3, "b")},

@@ -20,6 +20,7 @@
 #include "core/planner.h"
 #include "core/query.h"
 #include "exec/nn_udf.h"
+#include "exec/operators.h"
 #include "exec/pipeline.h"
 #include "sim/accuracy.h"
 #include "sim/scene.h"
@@ -187,7 +188,7 @@ TEST_F(OptimizerTest, ExpensiveUdfWrittenFirstRunsLast) {
   view.patches = MixedView(&view_rng, 10);
   ExprPtr pred = And(Eq(OcrTextUdf(0, db_->ocr()), Lit("7")),
                      Eq(Attr("bucket"), Lit(int64_t{1})));
-  PlanExplanation plan = Planner::PlanScan(view, pred);
+  PlanExplanation plan = Planner::PlanScan(view, pred).explanation;
   EXPECT_TRUE(plan.reordered);
   ASSERT_EQ(plan.conjunct_costs.size(), 2u);
   EXPECT_TRUE(plan.conjunct_costs[0].sargable);
@@ -218,7 +219,7 @@ TEST_F(OptimizerTest, ObservedRuntimesOutrankColdDefaults) {
   view.patches = MixedView(&view_rng, 8);
   ExprPtr pred = And(Ne(OcrTextUdf(0, db_->ocr()), Lit("")),
                      Gt(DepthUdf(0, db_->depth_model(), 240), Lit(5.0)));
-  PlanExplanation plan = Planner::PlanScan(view, pred);
+  PlanExplanation plan = Planner::PlanScan(view, pred).explanation;
   ASSERT_EQ(plan.conjunct_costs.size(), 2u);
   ASSERT_EQ(plan.conjunct_costs[0].udfs.size(), 1u);
   EXPECT_EQ(plan.conjunct_costs[0].udfs[0], model_names::kDepth);
@@ -705,6 +706,110 @@ TEST_F(OptimizerTest, StoredNaNKeysProbeLikeTheOracle) {
       EXPECT_EQ(*count, oracle.size()) << label;
     }
   }
+}
+
+// --- Attached views plan like resident ones ------------------------------
+
+// The MakeFilter/EvalBool oracle: `pred` evaluated tuple by tuple over the
+// rows as written.
+PatchCollection FilterOracle(const PatchCollection& rows, const ExprPtr& pred) {
+  auto filter = MakeFilter(MakeVectorSource(rows), pred);
+  auto out = CollectPatches(filter.get());
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? std::move(out).value() : PatchCollection{};
+}
+
+TEST_F(OptimizerTest, ColumnarResidualGoesThroughTheOptimizer) {
+  // A disk-backed view goes through the same optimizer as a resident one:
+  // its conjuncts are costed and reordered, the plan is memoized, each
+  // query's literals get their own zone-map prune count, and an expensive
+  // proxy-capable conjunct gets a cascade. 48 rows at 8 rows per chunk;
+  // frameno equals the row index, so "frameno < hi" keeps ceil(hi / 8)
+  // chunks.
+  setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "8", 1);
+  Rng view_rng(41);
+  const PatchCollection rows = MixedView(&view_rng, 48);
+  ASSERT_TRUE(db_->RegisterView("attached", rows).ok());
+  const Status persisted = db_->PersistView("attached");
+  unsetenv("DEEPLENS_COLUMNAR_CHUNK_ROWS");
+  ASSERT_TRUE(persisted.ok()) << persisted.ToString();
+  ASSERT_TRUE(db_->AttachPersistedView("attached").ok());
+  ASSERT_TRUE(db_->RegisterView("resident", rows).ok());
+  const ViewCache& attached = *db_->GetView("attached").value();
+  const ViewCache& resident = *db_->GetView("resident").value();
+  ASSERT_TRUE(attached.disk_backed());
+  ASSERT_EQ(attached.columnar->num_chunks(), 6u);
+
+  // Written costly-first: an opaque uncached OCR conjunct, then a
+  // sargable frame bound.
+  auto costly_first = [&](int64_t hi) {
+    return And(Ne(OcrTextUdf(0, db_->ocr()), Lit("")),
+               Lt(Attr(meta_keys::kFrameNo), Lit(hi)));
+  };
+  const struct {
+    int64_t hi;
+    uint64_t chunks_pruned;
+    bool plan_cache_hit;
+  } kRuns[] = {{12, 4, false}, {36, 1, true}};
+  for (const auto& run : kRuns) {
+    SCOPED_TRACE("frameno < " + std::to_string(run.hi));
+    const ExprPtr pred = costly_first(run.hi);
+    const PatchCollection oracle = FilterOracle(rows, pred);
+    ASSERT_FALSE(oracle.empty());
+    auto resident_rows = Planner::ExecuteScan(resident, pred, nullptr);
+    ASSERT_TRUE(resident_rows.ok()) << resident_rows.status().ToString();
+    // The passes above profiled the (fast, simulated) OCR model; forget
+    // that so the memoized plan's cold-cost snapshot stays valid.
+    CostModel::Global()->Clear();
+
+    PlanExplanation plan;
+    auto got = Planner::ExecuteScan(attached, pred, &plan);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(SerializeAll(*got), SerializeAll(oracle));
+    EXPECT_EQ(SerializeAll(*got), SerializeAll(*resident_rows));
+    EXPECT_EQ(plan.path, AccessPath::kColumnarScan) << plan.description;
+    EXPECT_TRUE(plan.reordered) << plan.description;
+    ASSERT_EQ(plan.conjunct_costs.size(), 2u);
+    EXPECT_TRUE(plan.conjunct_costs[0].sargable);
+    EXPECT_EQ(plan.conjunct_costs[0].source_index, 1u);
+    EXPECT_EQ(plan.plan_cache_hit, run.plan_cache_hit) << plan.description;
+    EXPECT_EQ(plan.columnar.chunks_total, 6u);
+    EXPECT_EQ(plan.columnar.chunks_pruned, run.chunks_pruned);
+    EXPECT_EQ(plan.columnar.chunks_read, 6u - run.chunks_pruned);
+    EXPECT_EQ(plan.columnar.sargable_conjuncts, 1u);
+    EXPECT_FALSE(plan.columnar.fully_sargable);
+    // The reader took the frame bound, so the residual above it runs the
+    // OCR conjunct alone: the bound's selectivity (which would read 1.0
+    // on rows that already passed it) is never observed.
+    const uint64_t bound_shape = ConjunctShapeFingerprint(
+        Lt(Attr(meta_keys::kFrameNo), Lit(run.hi)));
+    EXPECT_EQ(CostModel::Global()->Selectivity(bound_shape, -1.0), -1.0);
+    CostModel::Global()->Clear();
+  }
+
+  // Cascades: the OCR conjunct costs its cold default, so at threshold
+  // 0.3 it is wrapped, and its report is filled after the scan. Eq(ocr,
+  // "7") rejects inkless panels confidently and correctly (see
+  // CascadeSkipsInklessPanelsAndAccountsForIt), so rows stay exact.
+  const ExprPtr pred =
+      And(Eq(OcrTextUdf(0, db_->ocr(), db_->inference_cache()), Lit("7")),
+          Lt(Attr(meta_keys::kFrameNo), Lit(int64_t{48})));
+  const PatchCollection oracle = FilterOracle(rows, pred);
+  CostModel::Global()->Clear();
+  setenv("DEEPLENS_CASCADE_THRESHOLD", "0.3", 1);
+  PlanExplanation plan;
+  auto got = Planner::ExecuteScan(attached, pred, &plan);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(SerializeAll(*got), SerializeAll(oracle));
+  EXPECT_EQ(plan.path, AccessPath::kColumnarScan);
+  EXPECT_TRUE(plan.cascade.used) << plan.description;
+  EXPECT_EQ(plan.cascade.threshold, 0.3);
+  EXPECT_GT(plan.cascade.proxy_evals, 0u);
+  EXPECT_GT(plan.cascade.proxy_skips, 0u);
+  EXPECT_GT(plan.cascade.full_evals, 0u);
+  EXPECT_EQ(plan.cascade.est_precision, 1.0);
+  EXPECT_EQ(plan.cascade.audit_overturns, 0u);
+  EXPECT_NE(plan.description.find("proxy cascade"), std::string::npos);
 }
 
 }  // namespace
