@@ -1,7 +1,8 @@
 // CRC32C checksum used to detect page / record corruption in the storage
 // layer. Crc32c runs an SSE4.2 crc32-instruction kernel where the CPU has
-// one (checked once at runtime) and a byte-at-a-time table loop
-// elsewhere; both produce the same values, so files verify on either.
+// one (checked once at runtime), three interleaved streams wide on large
+// inputs, and a byte-at-a-time table loop elsewhere; all produce the
+// same values, so files verify on either.
 #pragma once
 
 #include <cstddef>

@@ -16,6 +16,7 @@
 #include "core/cost_model.h"
 #include "exec/aggregates.h"
 #include "exec/pipeline.h"
+#include "exec/scheduler.h"
 #include "sim/accuracy.h"
 #include "storage/columnar/async_loader.h"
 #include "storage/columnar/format.h"
@@ -777,17 +778,25 @@ Status DriveColumnarScan(const ViewCache& view, ScanPlan* plan,
 // The aggregate fold over a disk-backed view whose pushdown alone decides
 // membership: each zone-map-surviving chunk is filtered and counted per
 // value of `key` straight off its encoded columns
-// (ColumnarReader::FoldChunk), serially, with no Patch rows and no loader
-// queue. `fold_fn` gets (key value, rows) per group; a null `key` gives
-// one null group per chunk. Fills the runtime half of the columnar stats.
+// (ColumnarReader::FoldChunk), with no Patch rows and no loader queue.
+// The chunks fold in parallel through RunTasks, under the caller's
+// SchedulingContext, each into its own slot; the slots then merge in
+// chunk order, stopping at the first failed chunk, so groups, stats and
+// the error match a serial loop. `fold_fn` gets (key value, rows) per
+// group; a null `key` gives one null group per chunk. Fills the runtime
+// half of the columnar stats.
 template <typename FoldFn>
 Status FoldColumnarScan(const ViewCache& view, const std::string* key,
                         ScanPlan* plan, const FoldFn& fold_fn) {
+  const std::vector<size_t>& chunks = plan->chunks;
+  std::vector<Result<columnar::ChunkFold>> folds(chunks.size(),
+                                                 columnar::ChunkFold{});
+  RunTasks(chunks.size(), [&](size_t i) {
+    folds[i] = view.columnar->FoldChunk(chunks[i], plan->pushdown.preds, key);
+  });
   ColumnarScanStats& stats = plan->explanation.columnar;
-  for (size_t index : plan->chunks) {
-    DL_ASSIGN_OR_RETURN(
-        columnar::ChunkFold chunk,
-        view.columnar->FoldChunk(index, plan->pushdown.preds, key));
+  for (Result<columnar::ChunkFold>& fold : folds) {
+    DL_ASSIGN_OR_RETURN(columnar::ChunkFold chunk, std::move(fold));
     ++stats.chunks_read;
     stats.rows_decoded += chunk.rows;
     stats.bytes_decoded += chunk.bytes_decoded;

@@ -221,7 +221,8 @@ class Planner {
   // loader streams, with the executed predicate's unpushed conjuncts as
   // the residual above the reader. Count / CountDistinct / GroupCount
   // over an attached view whose pushdown covers the predicate fold each
-  // chunk off its encoded columns (ColumnarReader::FoldChunk), so no path
+  // chunk off its encoded columns (ColumnarReader::FoldChunk), the chunks
+  // in parallel on the morsel pool and merged in chunk order, so no path
   // materializes the surviving patches just to reduce them.
 
   /// The matching patches, in row order.

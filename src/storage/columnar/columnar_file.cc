@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "codec/image_codec.h"
 #include "common/checksum.h"
@@ -482,12 +483,32 @@ struct ChunkColumn {
   std::optional<TypedColumn> typed;
 };
 
+// Largest chunk read buffer a thread keeps for its next chunk. A chunk
+// with pixel blobs can run to hundreds of MB; its buffer is freed rather
+// than pinned to the thread.
+constexpr size_t kKeptReadBufferBytes = size_t{16} << 20;
+
+// The calling thread's spare chunk read buffer. Reusing it spares each
+// chunk a fresh allocation and most of the zero-fill of ReadAt's resize,
+// which then touches only growth past the previous chunk's size.
+thread_local std::vector<uint8_t> spare_read_buffer;
+
 // A chunk that passed the validation ladder both read paths share: CRC,
 // agreement with its footer entry (row count, id range, column
 // directory), strictly ascending ids, the dataset dictionary, and the
-// framing of every fixed-column block. Slices point into `bytes`.
+// framing of every fixed-column block. Slices point into `bytes`, which
+// takes the thread's spare buffer and hands it back on destruction.
 struct ParsedChunk {
-  std::vector<uint8_t> bytes;
+  ParsedChunk() = default;
+  ~ParsedChunk() {
+    if (bytes.capacity() <= kKeptReadBufferBytes) {
+      spare_read_buffer = std::move(bytes);
+    }
+  }
+  ParsedChunk(const ParsedChunk&) = delete;
+  ParsedChunk& operator=(const ParsedChunk&) = delete;
+
+  std::vector<uint8_t> bytes = std::exchange(spare_read_buffer, {});
   size_t rows = 0;
   std::vector<uint64_t> ids;
   std::vector<Slice> datasets;          // dictionary entries

@@ -3,25 +3,32 @@
 // last-write-wins oracle across randomized, NULL-heavy, empty, one-chunk
 // and out-of-order/overwritten views), rejection of pre-columnar view
 // files, zone-map pruning equivalence against unpruned scans, torn-tail
-// and corrupt-chunk recovery to typed Corruption, the async decode-ahead
-// loader (concurrent readers, byte budget, depth knob) and the view's
-// streaming Scan().
+// and corrupt-chunk recovery to typed Corruption, the chunk-parallel
+// aggregate fold (equal to a serial FoldChunk loop, its first error
+// included, and under concurrent tenants), the async decode-ahead loader
+// (concurrent readers, byte budget, depth knob) and the view's streaming
+// Scan().
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/planner.h"
+#include "core/session.h"
 #include "etl/materialize.h"
 #include "exec/expression.h"
+#include "exec/scheduler.h"
 #include "storage/columnar/async_loader.h"
 #include "storage/columnar/columnar_file.h"
 #include "storage/columnar/encoding.h"
@@ -575,6 +582,218 @@ TEST_F(ColumnarTest, AggregatesOverFlippedChunkByteAreTypedCorruption) {
                   .status()
                   .code(),
               StatusCode::kCorruption);
+  }
+}
+
+// The fold's answer computed chunk by chunk on the calling thread: the
+// reference the planner's parallel fold must equal.
+struct SerialFold {
+  uint64_t count = 0;
+  std::set<std::string> distinct;
+  std::map<std::string, uint64_t> groups;
+  ColumnarScanStats stats;
+  Status status;
+};
+
+SerialFold FoldSerially(const columnar::ColumnarReader& reader,
+                        const ExprPtr& predicate, const std::string* key) {
+  SerialFold out;
+  const columnar::PredicatePushdown pushdown =
+      columnar::ExtractPushdown(predicate);
+  for (size_t index : reader.SelectChunks(pushdown.preds)) {
+    auto chunk = reader.FoldChunk(index, pushdown.preds, key);
+    if (!chunk.ok()) {
+      out.status = chunk.status();
+      return out;
+    }
+    ++out.stats.chunks_read;
+    out.stats.rows_decoded += chunk->rows;
+    out.stats.bytes_decoded += chunk->bytes_decoded;
+    for (const columnar::KeyCount& group : chunk->keys) {
+      out.count += group.rows;
+      out.distinct.insert(group.value.ToIndexKey());
+      out.groups[group.value.ToDisplayString()] += group.rows;
+    }
+  }
+  return out;
+}
+
+void ExpectFoldStats(const PlanExplanation& plan, const SerialFold& serial) {
+  EXPECT_TRUE(plan.columnar.fully_sargable);
+  EXPECT_EQ(plan.columnar.chunks_read, serial.stats.chunks_read);
+  EXPECT_EQ(plan.columnar.rows_decoded, serial.stats.rows_decoded);
+  EXPECT_EQ(plan.columnar.bytes_decoded, serial.stats.bytes_decoded);
+}
+
+std::vector<ExprPtr> FoldPredicates() {
+  return {nullptr, Ge(Attr("score"), Lit(0.25)),
+          Eq(Attr("label"), Lit("car")),
+          And(Ge(Attr("bucket"), Lit(int64_t{4})),
+              Lt(Attr("bucket"), Lit(int64_t{15})))};
+}
+
+// With ten 20-row chunks the fold fans out over the morsel pool (serially
+// on a one-worker pool); answers and stats must equal a FoldChunk loop
+// and the resident view.
+TEST_F(ColumnarTest, ParallelFoldMatchesSerialFoldAndResident) {
+  setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "20", 1);
+  const PatchCollection patches = AggregatePatches(200, 12, false);
+  auto db = Database::Open(Path("db")).value();
+  ASSERT_TRUE(db->RegisterView("v", patches).ok());
+  ASSERT_TRUE(db->PersistView("v").ok());
+  ASSERT_TRUE(db->AttachPersistedView("v").ok());
+  const ViewCache* attached = db->GetView("v").value();
+  ASSERT_GE(attached->columnar->num_chunks(), 8u);
+  ViewCache resident;
+  resident.patches = patches;
+
+  for (const ExprPtr& pred : FoldPredicates()) {
+    SCOPED_TRACE(pred == nullptr ? "no predicate" : pred->ToString());
+    const SerialFold all = FoldSerially(*attached->columnar, pred, nullptr);
+    ASSERT_TRUE(all.status.ok()) << all.status.ToString();
+    PlanExplanation plan;
+    EXPECT_EQ(Planner::ExecuteScanCount(*attached, pred, &plan).value(),
+              all.count);
+    ExpectFoldStats(plan, all);
+    EXPECT_EQ(all.count,
+              Planner::ExecuteScanCount(resident, pred, nullptr).value());
+    for (const std::string key : {"label", "score", "zone"}) {
+      SCOPED_TRACE(key);
+      const SerialFold serial = FoldSerially(*attached->columnar, pred, &key);
+      ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
+      EXPECT_EQ(Planner::ExecuteScanCountDistinct(*attached, key, pred, &plan)
+                    .value(),
+                serial.distinct.size());
+      ExpectFoldStats(plan, serial);
+      EXPECT_EQ(
+          Planner::ExecuteScanGroupCount(*attached, key, pred, &plan).value(),
+          serial.groups);
+      ExpectFoldStats(plan, serial);
+      EXPECT_EQ(serial.distinct.size(),
+                Planner::ExecuteScanCountDistinct(resident, key, pred, nullptr)
+                    .value());
+      EXPECT_EQ(serial.groups,
+                Planner::ExecuteScanGroupCount(resident, key, pred, nullptr)
+                    .value());
+    }
+  }
+}
+
+// Chunks 2 and 5 are damaged and every chunk is folded at once, yet the
+// error is chunk 2's, word for word the serial loop's.
+TEST_F(ColumnarTest, ParallelFoldReportsTheFirstDamagedChunk) {
+  setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "20", 1);
+  auto db = Database::Open(Path("db")).value();
+  ASSERT_TRUE(db->RegisterView("v", AggregatePatches(200, 13, false)).ok());
+  ASSERT_TRUE(db->PersistView("v").ok());
+  ASSERT_TRUE(db->AttachPersistedView("v").ok());
+  const ViewCache* attached = db->GetView("v").value();
+  ASSERT_GE(attached->columnar->num_chunks(), 8u);
+  const std::string path = attached->columnar->path();
+  FlipByte(path, attached->columnar->chunk(2).offset + 3);
+  FlipByte(path, attached->columnar->chunk(5).offset + 3);
+  const std::string chunk2 =
+      "offset " + std::to_string(attached->columnar->chunk(2).offset);
+
+  const std::string key = "label";
+  for (const ExprPtr& pred : FoldPredicates()) {
+    SCOPED_TRACE(pred == nullptr ? "no predicate" : pred->ToString());
+    const bool reaches_chunk2 =
+        attached->columnar->SelectChunks(columnar::ExtractPushdown(pred).preds)
+            .front() <= 2;
+    const SerialFold serial = FoldSerially(*attached->columnar, pred, &key);
+    const Status statuses[] = {
+        Planner::ExecuteScanCount(*attached, pred, nullptr).status(),
+        Planner::ExecuteScanCountDistinct(*attached, key, pred, nullptr)
+            .status(),
+        Planner::ExecuteScanGroupCount(*attached, key, pred, nullptr)
+            .status(),
+    };
+    for (const Status& st : statuses) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption);
+      EXPECT_EQ(st.ToString(), serial.status.ToString());
+      if (reaches_chunk2) {
+        EXPECT_NE(st.ToString().find(chunk2), std::string::npos)
+            << st.ToString();
+      }
+    }
+  }
+}
+
+// Two weighted tenants fold the same view while a third thread runs
+// range lookups over it: every answer stays oracle-equal, and the
+// scheduler counts one task per folded chunk for each tenant.
+TEST_F(ColumnarTest, WeightedTenantsFoldBesideLookups) {
+  setenv("DEEPLENS_COLUMNAR_CHUNK_ROWS", "20", 1);
+  const PatchCollection patches = AggregatePatches(240, 14, false);
+  auto db = Database::Open(Path("db")).value();
+  ASSERT_TRUE(db->RegisterView("v", patches).ok());
+  ASSERT_TRUE(db->PersistView("v").ok());
+  ASSERT_TRUE(db->AttachPersistedView("v").ok());
+  ServingConfig serving;
+  serving.tenant_weights = {{"fold_light", 1}, {"fold_heavy", 4}};
+  db->ConfigureServing(serving);
+  const ViewCache* attached = db->GetView("v").value();
+  const size_t chunks = attached->columnar->num_chunks();
+  ASSERT_GE(chunks, 8u);
+  ViewCache resident;
+  resident.patches = patches;
+
+  const std::string key = "label";
+  const std::map<std::string, uint64_t> expected_groups =
+      Planner::ExecuteScanGroupCount(resident, key, nullptr, nullptr).value();
+  auto lookup = [](int64_t lo) {
+    return And(Ge(Attr("bucket"), Lit(lo)), Lt(Attr("bucket"), Lit(lo + 3)));
+  };
+  auto serialized = [](const PatchCollection& rows) {
+    std::string bytes;
+    for (const Patch& p : rows) bytes += SerializePatch(p);
+    return bytes;
+  };
+  std::vector<std::string> expected_lookups;
+  for (int64_t lo = 0; lo < 24; ++lo) {
+    expected_lookups.push_back(serialized(
+        Planner::ExecuteScan(resident, lookup(lo), nullptr).value()));
+  }
+
+  auto tenant_tasks = [](const std::string& tenant) {
+    const SchedulerStats stats = MorselScheduler::Global().Stats();
+    auto it = stats.tasks_by_tenant.find(tenant);
+    return it == stats.tasks_by_tenant.end() ? uint64_t{0} : it->second;
+  };
+  const uint64_t light_before = tenant_tasks("fold_light");
+  const uint64_t heavy_before = tenant_tasks("fold_heavy");
+  constexpr int kFolds = 12;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (const char* tenant : {"fold_light", "fold_heavy"}) {
+    threads.emplace_back([&, tenant] {
+      Session session = db->CreateSession(tenant);
+      for (int i = 0; i < kFolds; ++i) {
+        auto groups = session.Run([&] {
+          return Planner::ExecuteScanGroupCount(*attached, key, nullptr,
+                                                nullptr);
+        });
+        if (!groups.ok() || *groups != expected_groups) ++mismatches;
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int round = 0; round < 2; ++round) {
+      for (int64_t lo = 0; lo < 24; ++lo) {
+        auto rows = Planner::ExecuteScan(*attached, lookup(lo), nullptr);
+        if (!rows.ok() ||
+            serialized(*rows) != expected_lookups[static_cast<size_t>(lo)]) {
+          ++mismatches;
+        }
+      }
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  if (ThreadPool::Global().num_threads() > 1) {
+    EXPECT_EQ(tenant_tasks("fold_light") - light_before, kFolds * chunks);
+    EXPECT_EQ(tenant_tasks("fold_heavy") - heavy_before, kFolds * chunks);
   }
 }
 

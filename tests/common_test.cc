@@ -236,6 +236,42 @@ TEST(ChecksumTest, DispatchedKernelMatchesTablePath) {
   }
 }
 
+TEST(ChecksumTest, ThreeStreamKernelMatchesTablePath) {
+  // The SSE4.2 kernel runs three interleaved 4 KiB streams per 12 KiB
+  // round from 12,288 bytes up and joins them with a zero-block shift;
+  // the remainder runs on one stream. Lengths straddle one and two
+  // rounds, and ~1.3 MB with an odd tail is a columnar chunk's size.
+  RecordProperty("crc32c_path",
+                 Crc32cHardwareAvailable() ? "sse4.2" : "table");
+  constexpr size_t kRound = 3 * 4096;
+  const size_t kLengths[] = {kRound - 8,     kRound - 1,      kRound,
+                             kRound + 1,     kRound + 8,      kRound + 4095,
+                             2 * kRound - 1, 2 * kRound,      2 * kRound + 7,
+                             1300007};
+  Rng rng(4410);
+  std::vector<uint8_t> buf(1300007 + 15);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t len : kLengths) {
+    for (size_t offset : {0, 1, 7, 13}) {
+      const uint8_t* p = buf.data() + offset;
+      for (uint32_t seed : {0u, 0x9e3779b9u, 0xffffffffu}) {
+        ASSERT_EQ(Crc32c(p, len, seed), Crc32cPortable(p, len, seed))
+            << "offset " << offset << ", length " << len << ", seed "
+            << seed;
+      }
+      // Chained calls that cut a round in two, or hand a whole round to
+      // the second call.
+      const uint32_t whole = Crc32cPortable(p, len);
+      for (size_t split :
+           {size_t{5}, kRound / 2, len >= kRound ? len - kRound : len}) {
+        ASSERT_EQ(Crc32c(p + split, len - split, Crc32c(p, split)), whole)
+            << "offset " << offset << ", length " << len << ", split "
+            << split;
+      }
+    }
+  }
+}
+
 TEST(ChecksumTest, SeededAndChainedCallsCompose) {
   Rng rng(9);
   std::vector<uint8_t> data(1000);
