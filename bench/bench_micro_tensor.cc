@@ -1,10 +1,13 @@
-// Micro-benchmarks for the compute kernels: scalar vs vectorized variants
-// and the im2col+matmul convolution path — the per-op constants behind
-// the Figure 8 device comparison.
+// Micro-benchmarks for the compute kernels: scalar vs vectorized variants,
+// the im2col+matmul convolution path, and one call of each per-tuple model
+// (OCR on a text panel, the detector on a frame) — the per-op constants
+// behind the Figure 8 device comparison. Report-only: no case is gated.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "nn/layers.h"
+#include "nn/models.h"
+#include "sim/scene.h"
 #include "tensor/ops.h"
 
 namespace deeplens {
@@ -74,6 +77,62 @@ void BM_Conv2dForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dForward);
+
+// Unrolls a C×64×64 input for a 3×3, padding-1 convolution: C = 3 is the
+// detector's first layer, C = 8 its second.
+void BM_Im2Col(benchmark::State& state) {
+  const int64_t channels = state.range(0);
+  Rng rng(12);
+  Tensor input({channels, 64, 64});
+  for (int64_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<float>(rng.NextDouble());
+  }
+  for (auto _ : state) {
+    Tensor cols = nn::Im2Col(input, 3, 1, 1);
+    benchmark::DoNotOptimize(cols.data());
+  }
+}
+BENCHMARK(BM_Im2Col)->Arg(3)->Arg(8);
+
+// One udf_mix-style OCR call: a 48×48 RGB panel carrying two digits.
+void BM_RecognizeText(benchmark::State& state) {
+  nn::TinyOcr ocr;
+  Rng rng(13);
+  Image panel(48, 48, 3);
+  for (auto& b : panel.bytes()) {
+    b = static_cast<uint8_t>(10 + rng.NextU64Below(20));
+  }
+  sim::DrawDigits(&panel, nn::BBox{4, 14, 44, 34}, "47");
+  nn::Device* device = nn::GetDevice(nn::DeviceKind::kCpuVector);
+  for (auto _ : state) {
+    auto text = ocr.RecognizeText(panel, device);
+    if (!text.ok() || *text != "47") {
+      state.SkipWithError("RecognizeText misread the panel");
+      break;
+    }
+    benchmark::DoNotOptimize(text);
+  }
+}
+BENCHMARK(BM_RecognizeText);
+
+// One detector call on a 128×72 traffic frame with three objects.
+void BM_DetectFrame(benchmark::State& state) {
+  nn::TinySsdDetector detector;
+  std::vector<sim::SceneObject> objects(3);
+  for (int i = 0; i < 3; ++i) {
+    objects[i].cls = static_cast<nn::ObjectClass>(i);
+    objects[i].bbox = nn::BBox{10 + 36 * i, 20, 30 + 36 * i, 34};
+    objects[i].object_id = i + 1;
+  }
+  const Image frame = sim::RenderScene(128, 72, sim::Background::kAsphalt,
+                                       objects, 14);
+  nn::Device* device = nn::GetDevice(nn::DeviceKind::kCpuVector);
+  for (auto _ : state) {
+    auto dets = detector.Detect(frame, device);
+    benchmark::DoNotOptimize(dets);
+  }
+}
+BENCHMARK(BM_DetectFrame);
 
 void BM_PairwiseL2Device(benchmark::State& state) {
   const auto kind = static_cast<nn::DeviceKind>(state.range(0));

@@ -123,7 +123,10 @@ class Result {
   /// Access the value; undefined if !ok().
   T& value() & { return std::get<T>(v_); }
   const T& value() const& { return std::get<T>(v_); }
-  T&& value() && { return std::get<T>(std::move(v_)); }
+  /// Moves the value out. Returned by value, not as T&&, so a temporary's
+  /// value outlives the full expression: `for (auto& x : F().value())`
+  /// iterates a live object.
+  T value() && { return std::get<T>(std::move(v_)); }
 
   T& operator*() & { return value(); }
   const T& operator*() const& { return value(); }

@@ -23,20 +23,33 @@ Tensor Im2Col(const Tensor& input_chw, int kernel, int stride, int padding) {
   const int ow = OutExtent(w, kernel, stride, padding);
   Tensor out({static_cast<int64_t>(c) * kernel * kernel,
               static_cast<int64_t>(oh) * ow});
+  // The output starts zeroed, so padding taps need no writes. Bounds are
+  // settled once per output row: for tap column kx, output x reads source
+  // column sx = x * stride + kx - padding, which lies in [0, w) exactly
+  // for x in [x_lo, x_hi).
   float* dst = out.data();
   const float* src = input_chw.data();
   for (int ci = 0; ci < c; ++ci) {
+    const float* plane = src + static_cast<size_t>(ci) * h * w;
     for (int ky = 0; ky < kernel; ++ky) {
       for (int kx = 0; kx < kernel; ++kx) {
-        for (int y = 0; y < oh; ++y) {
+        const int lead = padding - kx;  // source column of x = 0 is -lead
+        const int x_lo =
+            lead > 0 ? std::min(ow, (lead + stride - 1) / stride) : 0;
+        const int x_hi = w + lead > 0
+                             ? std::clamp((w + lead - 1) / stride + 1,
+                                          x_lo, ow)
+                             : x_lo;
+        for (int y = 0; y < oh; ++y, dst += ow) {
           const int sy = y * stride + ky - padding;
-          for (int x = 0; x < ow; ++x) {
-            const int sx = x * stride + kx - padding;
-            float v = 0.0f;
-            if (sy >= 0 && sy < h && sx >= 0 && sx < w) {
-              v = src[(static_cast<size_t>(ci) * h + sy) * w + sx];
+          if (sy < 0 || sy >= h) continue;
+          const float* srow = plane + static_cast<size_t>(sy) * w;
+          if (stride == 1) {
+            std::copy(srow + (x_lo - lead), srow + (x_hi - lead), dst + x_lo);
+          } else {
+            for (int x = x_lo; x < x_hi; ++x) {
+              dst[x] = srow[x * stride - lead];
             }
-            *dst++ = v;
           }
         }
       }
@@ -117,20 +130,22 @@ Result<Tensor> MaxPool2d::Forward(const Tensor& input,
     return Status::InvalidArgument("MaxPool2d input smaller than kernel");
   }
   Tensor out({c, oh, ow});
+  // Every window lies inside the input: the last one ends at
+  // (oh - 1) * stride + kernel <= h (likewise for x).
+  const float* src = input.data();
+  float* dst = out.data();
   for (int ci = 0; ci < c; ++ci) {
+    const float* plane = src + static_cast<size_t>(ci) * h * w;
     for (int y = 0; y < oh; ++y) {
+      const float* band = plane + static_cast<size_t>(y) * stride_ * w;
       for (int x = 0; x < ow; ++x) {
         float m = -std::numeric_limits<float>::max();
         for (int ky = 0; ky < kernel_; ++ky) {
-          for (int kx = 0; kx < kernel_; ++kx) {
-            const int sy = y * stride_ + ky;
-            const int sx = x * stride_ + kx;
-            if (sy < h && sx < w) {
-              m = std::max(m, input.At(ci, sy, sx));
-            }
-          }
+          const float* row = band + static_cast<size_t>(ky) * w +
+                             static_cast<size_t>(x) * stride_;
+          for (int kx = 0; kx < kernel_; ++kx) m = std::max(m, row[kx]);
         }
-        out.At(ci, y, x) = m;
+        *dst++ = m;
       }
     }
   }
@@ -152,18 +167,22 @@ Result<Tensor> AvgPool2d::Forward(const Tensor& input,
   }
   Tensor out({c, oh, ow});
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
+  // Windows lie inside the input, as in MaxPool2d; each sums its taps
+  // row by row from 0.0f.
+  const float* src = input.data();
+  float* dst = out.data();
   for (int ci = 0; ci < c; ++ci) {
+    const float* plane = src + static_cast<size_t>(ci) * h * w;
     for (int y = 0; y < oh; ++y) {
+      const float* band = plane + static_cast<size_t>(y) * stride_ * w;
       for (int x = 0; x < ow; ++x) {
         float s = 0.0f;
         for (int ky = 0; ky < kernel_; ++ky) {
-          for (int kx = 0; kx < kernel_; ++kx) {
-            const int sy = y * stride_ + ky;
-            const int sx = x * stride_ + kx;
-            if (sy < h && sx < w) s += input.At(ci, sy, sx);
-          }
+          const float* row = band + static_cast<size_t>(ky) * w +
+                             static_cast<size_t>(x) * stride_;
+          for (int kx = 0; kx < kernel_; ++kx) s += row[kx];
         }
-        out.At(ci, y, x) = s * inv;
+        *dst++ = s * inv;
       }
     }
   }

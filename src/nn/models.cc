@@ -272,6 +272,56 @@ constexpr int kOcrInput = 8;  // glyphs are resampled to 8×8 grayscale
 // which is the Figure 2 accuracy effect.
 constexpr int kInkThreshold = 200;
 
+// The one glyph-ink test: a pixel is ink when the integer mean of its
+// channels reaches kInkThreshold. The mean is never formed: for integers
+// s >= 0 and c >= 1, floor(s / c) >= T exactly when s >= T * c, so each
+// pixel's channel sum is compared with a bound fixed per image instead of
+// being divided.
+struct InkPredicate {
+  explicit InkPredicate(int channels)
+      : min_sum(kInkThreshold * std::max(1, channels)) {}
+  bool operator()(int channel_sum) const { return channel_sum >= min_sum; }
+  int min_sum;
+};
+
+// Sum of one interleaved pixel's channels.
+inline int ChannelSum(const uint8_t* px, int channels) {
+  if (channels == 3) return px[0] + px[1] + px[2];
+  int s = 0;
+  for (int c = 0; c < channels; ++c) s += px[c];
+  return s;
+}
+
+// Binarizes the glyph in rectangle [x0, x0 + gw) × [y0, y0 + gh) of `src`
+// into the recognizer's 8×8 input. Segmentation crops to the ink extent,
+// which distorts narrow digits ('1' uses 3 of the font's 5 columns), so
+// the rectangle is centred on a canvas of the font's 5:7 aspect and the
+// canvas is sampled nearest-neighbour; samples in its margins are not ink.
+void SampleGlyph(const Image& src, int x0, int y0, int gw, int gh,
+                 float* out /* 64 */) {
+  const int canvas_w = std::max(gw, gh * kGlyphWidth / kGlyphHeight);
+  const int canvas_h = std::max(gh, gw * kGlyphHeight / kGlyphWidth);
+  const int ox = (canvas_w - gw) / 2;
+  const int oy = (canvas_h - gh) / 2;
+  const int channels = src.channels();
+  const InkPredicate is_ink(channels);
+  for (int y = 0; y < kOcrInput; ++y) {
+    const int gy = y * canvas_h / kOcrInput - oy;
+    for (int x = 0; x < kOcrInput; ++x) {
+      const int gx = x * canvas_w / kOcrInput - ox;
+      bool on = false;
+      if (gy >= 0 && gy < gh && gx >= 0 && gx < gw) {
+        const uint8_t* px =
+            src.data() +
+            ((static_cast<size_t>(y0) + gy) * src.width() + x0 + gx) *
+                channels;
+        on = is_ink(ChannelSum(px, channels));
+      }
+      out[y * kOcrInput + x] = on ? 1.0f : 0.0f;
+    }
+  }
+}
+
 // Renders digit `d`'s 5×7 glyph into an 8×8 [0,1] template, the same
 // resampling the recognizer applies to incoming glyph crops.
 void DigitTemplate(int d, float* out /* 64 */) {
@@ -310,40 +360,13 @@ TinyOcr::TinyOcr() : net_("tiny-ocr") {
 Result<int> TinyOcr::RecognizeDigit(const Image& glyph,
                                     Device* device) const {
   if (glyph.empty()) return Status::InvalidArgument("empty glyph");
-  // Segmentation crops to the ink extent, which distorts narrow digits
-  // ('1' uses 3 of the font's 5 columns); pad to the font's 5:7 aspect,
-  // centered, before resampling so crops align with the templates.
-  Image padded = glyph;
-  {
-    const int target_w = std::max(
-        glyph.width(), glyph.height() * kGlyphWidth / kGlyphHeight);
-    const int target_h = std::max(
-        glyph.height(), glyph.width() * kGlyphHeight / kGlyphWidth);
-    if (target_w != glyph.width() || target_h != glyph.height()) {
-      Image canvas(target_w, target_h, glyph.channels());
-      const int ox = (target_w - glyph.width()) / 2;
-      const int oy = (target_h - glyph.height()) / 2;
-      for (int y = 0; y < glyph.height(); ++y) {
-        for (int x = 0; x < glyph.width(); ++x) {
-          for (int c = 0; c < glyph.channels(); ++c) {
-            canvas.At(ox + x, oy + y, c) = glyph.At(x, y, c);
-          }
-        }
-      }
-      padded = std::move(canvas);
-    }
-  }
-  // Grayscale + binarize to [0,1] at 8×8.
-  const Image small = padded.Resize(kOcrInput, kOcrInput);
+  return RecognizeGlyph(glyph, 0, 0, glyph.width(), glyph.height(), device);
+}
+
+Result<int> TinyOcr::RecognizeGlyph(const Image& src, int x0, int y0,
+                                    int gw, int gh, Device* device) const {
   Tensor input({kOcrInput * kOcrInput});
-  for (int y = 0; y < kOcrInput; ++y) {
-    for (int x = 0; x < kOcrInput; ++x) {
-      int lum = 0;
-      for (int c = 0; c < small.channels(); ++c) lum += small.At(x, y, c);
-      lum /= std::max(1, small.channels());
-      input[y * kOcrInput + x] = lum >= kInkThreshold ? 1.0f : 0.0f;
-    }
-  }
+  SampleGlyph(src, x0, y0, gw, gh, input.data());
   DL_ASSIGN_OR_RETURN(Tensor probs, net_.Forward(input, device));
   const int64_t best = ops::Argmax(probs);
   if (best < 0 || probs[best] < min_confidence_) {
@@ -359,18 +382,20 @@ Result<std::string> TinyOcr::RecognizeText(const Image& patch,
   // containing ink are candidate glyphs.
   const int w = patch.width();
   const int h = patch.height();
+  const int channels = patch.channels();
+  const InkPredicate is_ink(channels);
   std::vector<int> col_ink(static_cast<size_t>(w), 0);
   std::vector<int> row_ink(static_cast<size_t>(h), 0);
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      int lum = 0;
-      for (int c = 0; c < patch.channels(); ++c) lum += patch.At(x, y, c);
-      lum /= std::max(1, patch.channels());
-      if (lum >= kInkThreshold) {
+    const uint8_t* px = patch.data() + static_cast<size_t>(y) * w * channels;
+    int row = 0;
+    for (int x = 0; x < w; ++x, px += channels) {
+      if (is_ink(ChannelSum(px, channels))) {
         ++col_ink[static_cast<size_t>(x)];
-        ++row_ink[static_cast<size_t>(y)];
+        ++row;
       }
     }
+    row_ink[static_cast<size_t>(y)] = row;
   }
   // Vertical extent of the ink.
   int y0 = 0, y1 = h;
@@ -385,8 +410,8 @@ Result<std::string> TinyOcr::RecognizeText(const Image& patch,
     if (x >= w) break;
     int run_start = x;
     while (x < w && col_ink[static_cast<size_t>(x)] > 0) ++x;
-    const Image glyph = patch.Crop(run_start, y0, x, y1);
-    auto digit = RecognizeDigit(glyph, device);
+    auto digit =
+        RecognizeGlyph(patch, run_start, y0, x - run_start, y1 - y0, device);
     if (digit.ok()) {
       result += static_cast<char>('0' + digit.value());
     }
@@ -420,12 +445,14 @@ bool TinyOcr::ProxyHasInk(const Image& patch) const {
   // still lands on ink when there is any. ~4× cheaper than the full
   // binarization pass, and vastly cheaper than segmentation + per-glyph
   // matched filters.
+  const int channels = patch.channels();
+  const InkPredicate is_ink(channels);
+  const size_t row_bytes = static_cast<size_t>(patch.width()) * channels;
+  const size_t step = 2 * static_cast<size_t>(channels);
   for (int y = 0; y < patch.height(); y += 2) {
-    for (int x = 0; x < patch.width(); x += 2) {
-      int lum = 0;
-      for (int c = 0; c < patch.channels(); ++c) lum += patch.At(x, y, c);
-      lum /= std::max(1, patch.channels());
-      if (lum >= kInkThreshold) return true;
+    const uint8_t* row = patch.data() + static_cast<size_t>(y) * row_bytes;
+    for (size_t off = 0; off < row_bytes; off += step) {
+      if (is_ink(ChannelSum(row + off, channels))) return true;
     }
   }
   return false;

@@ -97,6 +97,11 @@ class TinyOcr {
   const Network& network() const { return net_; }
 
  private:
+  /// Recognizes the glyph in rectangle [x0, x0 + gw) × [y0, y0 + gh) of
+  /// `src` (non-empty, inside `src`) without copying it out.
+  Result<int> RecognizeGlyph(const Image& src, int x0, int y0, int gw,
+                             int gh, Device* device) const;
+
   Network net_;
   float min_confidence_ = 0.30f;
 };

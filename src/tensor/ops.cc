@@ -179,6 +179,38 @@ void MatmulScalar(const float* a, const float* b, float* c, size_t m,
 
 void MatmulVector(const float* a, const float* b, float* c, size_t m,
                   size_t k, size_t n) {
+  if (n == 1) {
+    // GEMV: the axpy below would run an inner loop of length 1. Keep one
+    // accumulator per row instead and interleave four rows so their
+    // add chains overlap; each row still sums p = 0..k-1 in order from
+    // 0.0f, exactly as MatmulScalar does.
+    size_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      const float* __restrict__ a0 = a + i * k;
+      const float* __restrict__ a1 = a0 + k;
+      const float* __restrict__ a2 = a1 + k;
+      const float* __restrict__ a3 = a2 + k;
+      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+      for (size_t p = 0; p < k; ++p) {
+        const float bv = b[p];
+        s0 += a0[p] * bv;
+        s1 += a1[p] * bv;
+        s2 += a2[p] * bv;
+        s3 += a3[p] * bv;
+      }
+      c[i] = s0;
+      c[i + 1] = s1;
+      c[i + 2] = s2;
+      c[i + 3] = s3;
+    }
+    for (; i < m; ++i) {
+      const float* __restrict__ arow = a + i * k;
+      float s = 0.0f;
+      for (size_t p = 0; p < k; ++p) s += arow[p] * b[p];
+      c[i] = s;
+    }
+    return;
+  }
   // ikj loop order keeps B row access sequential so the inner loop is a
   // vectorizable axpy; this is the classic cache-friendly ordering.
   std::memset(c, 0, m * n * sizeof(float));

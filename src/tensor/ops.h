@@ -56,7 +56,9 @@ float CosineSimilarity(const float* a, const float* b, size_t n);
 /// C(m×n) = A(m×k) · B(k×n), all row-major. Scalar triple loop.
 void MatmulScalar(const float* a, const float* b, float* c, size_t m,
                   size_t k, size_t n);
-/// Cache-blocked, unrolled variant (the "AVX" path).
+/// Cache-blocked, unrolled variant (the "AVX" path), with a row-interleaved
+/// GEMV for n == 1. Bit-identical to MatmulScalar: every output element
+/// sums its k products in order from 0.0f.
 void MatmulVector(const float* a, const float* b, float* c, size_t m,
                   size_t k, size_t n);
 

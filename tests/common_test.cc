@@ -81,6 +81,22 @@ TEST(ResultTest, MoveOnlyTypes) {
   EXPECT_EQ(*v, 7);
 }
 
+Result<std::vector<std::string>> Words() {
+  // Long enough to live on the heap, so a use after free shows under ASan.
+  return std::vector<std::string>{"a first word longer than SSO",
+                                  "a second word longer than SSO"};
+}
+
+TEST(ResultTest, RangeForOverTemporaryValue) {
+  // The range-init's temporary Result dies before the loop body runs; the
+  // rvalue value() must hand back an object that outlives it.
+  std::vector<std::string> seen;
+  for (const std::string& w : Words().value()) seen.push_back(w);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], "a first word longer than SSO");
+  EXPECT_EQ(seen[1], "a second word longer than SSO");
+}
+
 Result<int> HalveEven(int x) {
   if (x % 2 != 0) return Status::InvalidArgument("odd");
   return x / 2;

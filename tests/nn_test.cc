@@ -3,8 +3,12 @@
 // the three model instantiations against synthetic scenes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "exec/scheduler.h"
@@ -20,19 +24,36 @@ namespace {
 
 class DeviceEquivalence : public ::testing::TestWithParam<DeviceKind> {};
 
+// The bit pattern of a float, so kernel outputs compare exactly (EXPECT_EQ
+// on floats would equate -0.0f with 0.0f).
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
 TEST_P(DeviceEquivalence, MatmulMatchesScalarReference) {
+  // Every device sums each output's products in order from 0.0f, so the
+  // results are bit-identical, not just close. Shapes cover the GEMV path
+  // (n == 1: OCR's classifier, a 1-row head) and the detector's convs.
   Device* device = GetDevice(GetParam());
   Device* reference = GetDevice(DeviceKind::kCpuScalar);
-  const size_t m = 7, k = 11, n = 5;
+  const size_t shapes[][3] = {{7, 11, 5},     {10, 64, 1},   {1, 5, 1},
+                              {8, 27, 4096},  {8, 72, 4096}, {9, 3, 2}};
   Rng rng(3);
-  std::vector<float> a(m * k), b(k * n);
-  for (auto& x : a) x = static_cast<float>(rng.NextGaussian());
-  for (auto& x : b) x = static_cast<float>(rng.NextGaussian());
-  std::vector<float> c_dev(m * n), c_ref(m * n);
-  device->Matmul(a.data(), b.data(), c_dev.data(), m, k, n);
-  reference->Matmul(a.data(), b.data(), c_ref.data(), m, k, n);
-  for (size_t i = 0; i < m * n; ++i) {
-    EXPECT_NEAR(c_dev[i], c_ref[i], 1e-3f);
+  for (const auto& shape : shapes) {
+    const size_t m = shape[0], k = shape[1], n = shape[2];
+    std::vector<float> a(m * k), b(k * n);
+    for (auto& x : a) x = static_cast<float>(rng.NextGaussian());
+    for (auto& x : b) x = static_cast<float>(rng.NextGaussian());
+    std::vector<float> c_dev(m * n), c_ref(m * n);
+    device->Matmul(a.data(), b.data(), c_dev.data(), m, k, n);
+    reference->Matmul(a.data(), b.data(), c_ref.data(), m, k, n);
+    size_t mismatches = 0;
+    for (size_t i = 0; i < m * n; ++i) {
+      mismatches += Bits(c_dev[i]) != Bits(c_ref[i]);
+    }
+    EXPECT_EQ(mismatches, 0u) << m << "x" << k << "x" << n;
   }
 }
 
@@ -113,6 +134,122 @@ TEST(Im2ColTest, PaddingContributesZeros) {
   float sum = 0;
   for (int i = 0; i < 9; ++i) sum += cols.At(i, 0);
   EXPECT_FLOAT_EQ(sum, 7.0f);  // only the center tap is non-zero
+}
+
+Tensor RandomChw(int c, int h, int w, Rng* rng) {
+  Tensor t({c, h, w});
+  for (int64_t i = 0; i < t.size(); ++i) {
+    t[i] = static_cast<float>(rng->NextGaussian());
+  }
+  return t;
+}
+
+void ExpectBitEqual(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  size_t mismatches = 0;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    mismatches += Bits(got[i]) != Bits(want[i]);
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+// Naive per-element im2col: the bounds test sits on every tap.
+Tensor ReferenceIm2Col(const Tensor& in, int k, int stride, int pad) {
+  const int c = static_cast<int>(in.dim(0));
+  const int h = static_cast<int>(in.dim(1));
+  const int w = static_cast<int>(in.dim(2));
+  const int oh = (h + 2 * pad - k) / stride + 1;
+  const int ow = (w + 2 * pad - k) / stride + 1;
+  Tensor out({static_cast<int64_t>(c) * k * k,
+              static_cast<int64_t>(oh) * ow});
+  for (int ci = 0; ci < c; ++ci) {
+    for (int ky = 0; ky < k; ++ky) {
+      for (int kx = 0; kx < k; ++kx) {
+        for (int y = 0; y < oh; ++y) {
+          for (int x = 0; x < ow; ++x) {
+            const int sy = y * stride + ky - pad;
+            const int sx = x * stride + kx - pad;
+            const bool inside = sy >= 0 && sy < h && sx >= 0 && sx < w;
+            out.At((ci * k + ky) * k + kx, y * ow + x) =
+                inside ? in.At(ci, sy, sx) : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Naive pooling; `avg` sums each window row by row from 0.0f.
+Tensor ReferencePool(const Tensor& in, int k, int stride, bool avg) {
+  const int c = static_cast<int>(in.dim(0));
+  const int h = static_cast<int>(in.dim(1));
+  const int w = static_cast<int>(in.dim(2));
+  const int oh = (h - k) / stride + 1;
+  const int ow = (w - k) / stride + 1;
+  Tensor out({c, oh, ow});
+  const float inv = 1.0f / static_cast<float>(k * k);
+  for (int ci = 0; ci < c; ++ci) {
+    for (int y = 0; y < oh; ++y) {
+      for (int x = 0; x < ow; ++x) {
+        float acc = avg ? 0.0f : -std::numeric_limits<float>::max();
+        for (int ky = 0; ky < k; ++ky) {
+          for (int kx = 0; kx < k; ++kx) {
+            const float v = in.At(ci, y * stride + ky, x * stride + kx);
+            acc = avg ? acc + v : std::max(acc, v);
+          }
+        }
+        out.At(ci, y, x) = avg ? acc * inv : acc;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Im2ColTest, MatchesNaiveReferenceBitwise) {
+  Rng rng(21);
+  // Non-square inputs, including ones narrower than the padded kernel's
+  // reach and a 1-pixel-wide strip.
+  const int dims[][3] = {{3, 13, 17}, {2, 9, 6}, {1, 5, 11}, {2, 7, 1}};
+  for (const auto& d : dims) {
+    const Tensor in = RandomChw(d[0], d[1], d[2], &rng);
+    for (int stride : {1, 2}) {
+      for (int pad : {0, 1, 2}) {
+        for (int k : {1, 3, 5}) {
+          if (d[1] + 2 * pad < k || d[2] + 2 * pad < k) continue;
+          const std::string what = in.ShapeString() + " k" +
+                                   std::to_string(k) + " s" +
+                                   std::to_string(stride) + " p" +
+                                   std::to_string(pad);
+          ExpectBitEqual(Im2Col(in, k, stride, pad),
+                         ReferenceIm2Col(in, k, stride, pad), what);
+        }
+      }
+    }
+  }
+}
+
+TEST(PoolTest, MatchesNaiveReferenceBitwise) {
+  Rng rng(22);
+  const int dims[][3] = {{3, 13, 17}, {2, 8, 5}, {1, 16, 16}, {4, 5, 9}};
+  Device* device = GetDevice(DeviceKind::kCpuVector);
+  for (const auto& d : dims) {
+    const Tensor in = RandomChw(d[0], d[1], d[2], &rng);
+    for (int stride : {1, 2}) {
+      for (int k : {1, 2, 3, 5}) {
+        if (d[1] < k || d[2] < k) continue;
+        const std::string what = in.ShapeString() + " k" + std::to_string(k) +
+                                 " s" + std::to_string(stride);
+        auto avg = AvgPool2d(k, stride).Forward(in, device);
+        auto max = MaxPool2d(k, stride).Forward(in, device);
+        ASSERT_TRUE(avg.ok() && max.ok()) << what;
+        ExpectBitEqual(*avg, ReferencePool(in, k, stride, true), "avg " + what);
+        ExpectBitEqual(*max, ReferencePool(in, k, stride, false),
+                       "max " + what);
+      }
+    }
+  }
 }
 
 TEST(Conv2dTest, IdentityKernelPassesThrough) {
@@ -388,6 +525,157 @@ TEST(TinyOcrTest, InklessGlyphRejected) {
   auto digit =
       ocr.RecognizeDigit(glyph, GetDevice(DeviceKind::kCpuVector));
   EXPECT_TRUE(digit.status().IsNotFound());
+}
+
+// Paints `digit`'s 5×7 glyph at (x0, y0), each font pixel as an sx × sy
+// block whose channels take `value` (one entry per channel).
+void PaintGlyph(Image* img, int digit, int x0, int y0, int sx, int sy,
+                const std::vector<uint8_t>& value) {
+  for (int gy = 0; gy < kGlyphHeight; ++gy) {
+    for (int gx = 0; gx < kGlyphWidth; ++gx) {
+      if (!GlyphPixel(digit, gx, gy)) continue;
+      for (int y = y0 + gy * sy; y < y0 + (gy + 1) * sy; ++y) {
+        for (int x = x0 + gx * sx; x < x0 + (gx + 1) * sx; ++x) {
+          for (int c = 0; c < img->channels(); ++c) {
+            img->At(x, y, c) = value[static_cast<size_t>(c)];
+          }
+        }
+      }
+    }
+  }
+}
+
+Image NoisePanel(int w, int h, int channels, int lo, int span, Rng* rng) {
+  Image img(w, h, channels);
+  for (auto& b : img.bytes()) {
+    b = static_cast<uint8_t>(lo + static_cast<int>(rng->NextU64Below(
+                                      static_cast<uint64_t>(span))));
+  }
+  return img;
+}
+
+// A seeded corpus covering every branch of the ink test and the glyph
+// sampler: udf_mix-style 48×48 panels with and without digits, 1-, 3- and
+// 4-channel patches, glyphs narrower and wider than the font's 5:7
+// aspect, ink exactly at (and one below) the threshold, near-threshold
+// noise, and an empty patch.
+std::vector<Image> OcrCorpus() {
+  Rng rng(2025);
+  std::vector<Image> corpus;
+  for (int i = 0; i < 48; ++i) {
+    Image panel = NoisePanel(48, 48, 3, 10, 20, &rng);
+    if (i % 3 != 0) {
+      sim::DrawDigits(&panel, BBox{4, 14, 44, 34},
+                      std::to_string(10 + rng.NextU64Below(90)));
+    }
+    corpus.push_back(std::move(panel));
+  }
+  for (int channels : {1, 3, 4}) {
+    for (int i = 0; i < 12; ++i) {
+      const int w = 20 + static_cast<int>(rng.NextU64Below(40));
+      const int h = 16 + static_cast<int>(rng.NextU64Below(24));
+      Image patch = NoisePanel(w, h, channels, 10, 50, &rng);
+      if (i % 4 != 0) {
+        sim::DrawDigits(&patch, BBox{1, 1, w - 1, h - 1},
+                        std::to_string(rng.NextU64Below(1000)));
+      }
+      corpus.push_back(std::move(patch));
+    }
+  }
+  // Channel values whose integer mean is exactly the threshold (200),
+  // then sums one below it.
+  const std::vector<std::vector<uint8_t>> inks = {
+      {200}, {180, 200, 220}, {200, 190, 210, 200},
+      {199}, {199, 200, 200}, {199, 200, 200, 200}};
+  for (const auto& ink : inks) {
+    const int channels = static_cast<int>(ink.size());
+    for (int digit : {3, 7}) {
+      Image patch = NoisePanel(24, 24, channels, 10, 20, &rng);
+      PaintGlyph(&patch, digit, 4, 2, 3, 3, ink);
+      corpus.push_back(std::move(patch));
+    }
+  }
+  // Glyphs stretched narrower/taller and wider/shorter than 5:7.
+  const int scales[][2] = {{1, 4}, {2, 6}, {1, 3}, {4, 1}, {6, 2}, {3, 1}};
+  for (const auto& sc : scales) {
+    for (int digit = 0; digit < 10; digit += 3) {
+      Image patch = NoisePanel(40, 48, 3, 10, 20, &rng);
+      PaintGlyph(&patch, digit, 2, 2, sc[0], sc[1], {240, 240, 240});
+      PaintGlyph(&patch, (digit + 1) % 10, 4 + 5 * sc[0], 2, sc[0], sc[1],
+                 {240, 240, 240});
+      corpus.push_back(std::move(patch));
+    }
+  }
+  // Backgrounds straddling the threshold.
+  for (int i = 0; i < 8; ++i) {
+    corpus.push_back(NoisePanel(32, 32, 1 + i % 4, 195, 11, &rng));
+  }
+  corpus.push_back(Image());
+  return corpus;
+}
+
+TEST(TinyOcrTest, OutputsArePinned) {
+  // RecognizeText, RecognizeDigit and ProxyHasInk over OcrCorpus(),
+  // digested. The digest was computed with the per-pixel-divide ink test
+  // and the crop/pad/resize glyph path that the current kernels replace,
+  // so it pins their outputs to the originals exactly.
+  constexpr uint64_t kPinnedDigest = 0x56dd8c7ff5e34512ull;
+  TinyOcr ocr;
+  Device* vec = GetDevice(DeviceKind::kCpuVector);
+  Device* scalar = GetDevice(DeviceKind::kCpuScalar);
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a
+  auto mix = [&](const std::string& bytes) {
+    for (unsigned char ch : bytes) {
+      digest ^= ch;
+      digest *= 1099511628211ull;
+    }
+  };
+  int read = 0;
+  const std::vector<Image> corpus = OcrCorpus();
+  for (const Image& patch : corpus) {
+    auto text = ocr.RecognizeText(patch, vec);
+    ASSERT_TRUE(text.ok());
+    auto scalar_text = ocr.RecognizeText(patch, scalar);
+    ASSERT_TRUE(scalar_text.ok());
+    EXPECT_EQ(*text, *scalar_text);
+    read += !text->empty();
+    int digit = -1;
+    if (!patch.empty()) {
+      auto d = ocr.RecognizeDigit(patch, vec);
+      digit = d.ok() ? *d : -1;
+    }
+    mix(*text + "|" + std::to_string(ocr.ProxyHasInk(patch)) + "|" +
+        std::to_string(digit) + ";");
+  }
+  EXPECT_GT(read, static_cast<int>(corpus.size()) / 3);
+  EXPECT_EQ(digest, kPinnedDigest)
+      << "0x" << std::hex << digest << " over " << std::dec << corpus.size()
+      << " patches";
+}
+
+TEST(TinyOcrTest, InkThresholdIsInclusive) {
+  // Mean channel value exactly 200 is ink; a channel sum one below is not.
+  TinyOcr ocr;
+  Device* device = GetDevice(DeviceKind::kCpuVector);
+  for (const std::vector<uint8_t>& ink :
+       {std::vector<uint8_t>{200}, std::vector<uint8_t>{180, 200, 220},
+        std::vector<uint8_t>{200, 190, 210, 200}}) {
+    Image patch(24, 24, static_cast<int>(ink.size()));
+    PaintGlyph(&patch, 4, 4, 2, 3, 3, ink);
+    EXPECT_TRUE(ocr.ProxyHasInk(patch));
+    auto text = ocr.RecognizeText(patch, device);
+    ASSERT_TRUE(text.ok());
+    EXPECT_EQ(*text, "4") << ink.size() << " channels";
+
+    std::vector<uint8_t> below = ink;
+    below[0] = static_cast<uint8_t>(below[0] - 1);
+    Image faint(24, 24, static_cast<int>(ink.size()));
+    PaintGlyph(&faint, 4, 4, 2, 3, 3, below);
+    EXPECT_FALSE(ocr.ProxyHasInk(faint));
+    text = ocr.RecognizeText(faint, device);
+    ASSERT_TRUE(text.ok());
+    EXPECT_EQ(*text, "") << ink.size() << " channels";
+  }
 }
 
 TEST(TinyDepthTest, RecoversDepthFromApparentHeight) {
